@@ -171,7 +171,9 @@ def forecast_baseline(model: BaselineModel, ds: PanelDataset, h: int) -> dict:
 # --------------------------------------------------------------------------
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, indent=1)
+    # indentation would force json's pure-Python encoder; compact output
+    # takes the C encoder and carries no whitespace
+    return json.dumps(obj, separators=(",", ":"))
 
 
 def save_bundle(path, model, log=None, config_echo=None, code_maps=None, seed=None):

@@ -105,8 +105,8 @@ def ingest_csv(path, schema: dict | None = None, code_maps: dict | None = None) 
     Required columns: series_id, timestamp (ISO-8601 date), value (decimal).
     ``schema`` declares the remaining columns: ``{"categorical": [...],
     "numeric": [...], "frequency": "monthly"}``; undeclared extras are
-    ignored.  Rows are sorted by (series_id, timestamp); duplicates and
-    missing targets are rejected.
+    ignored.  Rows are sorted by (series_id, timestamp); duplicates,
+    missing targets and non-finite numeric cells are rejected.
 
     When ``code_maps`` is given (forecast time), the categorical encoding is
     frozen: unseen categories map to the reserved code with a warning.
@@ -156,6 +156,8 @@ def ingest_csv(path, schema: dict | None = None, code_maps: dict | None = None) 
                     nums[c] = float(row[col[c]])
                 except ValueError:
                     raise DataError(f"row {row_no}: non-numeric value {row[col[c]]!r} in column {c!r}")
+                if not math.isfinite(nums[c]):
+                    raise DataError(f"row {row_no}: non-finite value {row[col[c]]!r} in column {c!r}")
             records.append((sid, ts, val, cats, nums))
 
     if not records:

@@ -563,12 +563,6 @@ class Objective:
         h = np.full_like(raw, 2.0)
         return self._final(float(np.dot(r, r)), g, h, fitted)
 
-    def loss_only(self, raw: np.ndarray) -> float:
-        return self.evaluate(raw)[0]
-
-    def mean_loss(self, raw: np.ndarray) -> float:
-        return self.evaluate(raw)[0] / self.n_weight
-
     def local_fitted_jacobian(self, raw: np.ndarray):
         """d fitted_row / d raw_row for targets whose fit is row-local.
 

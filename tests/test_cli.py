@@ -101,6 +101,47 @@ class TestTrain:
         assert "AirPassengers" in manifest["per_series"]
 
 
+def panel_config(tmp_path, exposure_cell):
+    """Two monthly series with a numeric feature; one training cell is replaceable."""
+    rows = ["series_id,timestamp,value,exposure"]
+    for sid in ("a", "b"):
+        for t in range(30):
+            rows.append(f"{sid},{2000 + t // 12}-{t % 12 + 1:02d}-01,{10 + t % 7},{1 + t % 5}")
+    rows[5] = rows[5].rsplit(",", 1)[0] + "," + exposure_cell
+    data = tmp_path / "panel.csv"
+    data.write_text("\n".join(rows) + "\n")
+    cfg = {
+        "seed": 1,
+        "data": {"path": str(data), "numeric": ["exposure"]},
+        "features": {"calendar": ["month"], "summary": False},
+        "model": {"family": "hypertree", "target": "ar", "p": 2},
+        "boosting": {"rounds": 2},
+        "eval": {"horizon": 3},
+    }
+    path = tmp_path / "panel.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    return str(path), data
+
+
+class TestNonFiniteFeatures:
+    def test_train_exit_3(self, runner, tmp_path):
+        cfg, _ = panel_config(tmp_path, "inf")
+        res = runner.invoke(main, ["train", cfg, "--out", str(tmp_path / "b")])
+        assert res.exit_code == 3, res.output
+        assert "row 6: non-finite value 'inf' in column 'exposure'" in res.output
+
+    def test_forecast_exit_3(self, runner, tmp_path):
+        cfg, data = panel_config(tmp_path, "2")
+        out = tmp_path / "b"
+        assert runner.invoke(main, ["train", cfg, "--out", str(out)]).exit_code == 0
+        bad = tmp_path / "bad.csv"
+        bad.write_text(data.read_text().replace("a,2000-05-01,14,2", "a,2000-05-01,14,nan"))
+        res = runner.invoke(main, ["forecast", "--bundle", str(out), "--data", str(bad),
+                                   "--out", str(tmp_path / "fc.csv")])
+        assert res.exit_code == 3, res.output
+        assert "row 6: non-finite value 'nan' in column 'exposure'" in res.output
+
+
 class TestForecast:
     def test_h12_rows(self, runner, tmp_path):
         cfg = base_config(tmp_path)

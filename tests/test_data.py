@@ -67,6 +67,17 @@ class TestIngest:
         with pytest.raises(DataError, match="non-numeric"):
             ingest_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_non_finite_feature_names_row_and_column(self, tmp_path, cell, frozen):
+        path = write_csv(
+            tmp_path,
+            f"series_id,timestamp,value,price\na,2020-01-01,1,2.5\na,2020-02-01,2,{cell}\n",
+        )
+        code_maps = {} if frozen else None  # forecast ingest freezes the code maps
+        with pytest.raises(DataError, match=f"row 3: non-finite value '{cell}' in column 'price'"):
+            ingest_csv(path, {"numeric": ["price"]}, code_maps=code_maps)
+
     def test_missing_target_rejected(self, tmp_path):
         path = write_csv(tmp_path, "series_id,timestamp,value\na,2020-01-01,\n")
         with pytest.raises(DataError, match="missing target"):

@@ -187,3 +187,23 @@ class TestPersistence:
         back = HyperTreeModel.from_dict(json.loads(json.dumps(d)))
         fs = air_recipe.build(air_train)
         assert np.array_equal(model.predict_raw(fs.X), back.predict_raw(fs.X))
+
+    def test_indented_bundle_loads_bit_exact(self, air_ar_model, air_train, air_recipe,
+                                             tmp_path):
+        import json
+
+        from treecast.bundle import load_bundle, save_bundle
+
+        model, log = air_ar_model
+        save_bundle(tmp_path / "compact", model, log)
+        indented = tmp_path / "indented"
+        indented.mkdir()
+        for src in (tmp_path / "compact").glob("*.json"):
+            text = src.read_text()
+            assert "\n" not in text
+            (indented / src.name).write_text(json.dumps(json.loads(text), indent=1))
+        fs = air_recipe.build(air_train)
+        for path in (tmp_path / "compact", indented):
+            back, _, _ = load_bundle(path)
+            assert back.to_dict() == model.to_dict()
+            assert np.array_equal(back.predict_raw(fs.X), model.predict_raw(fs.X))
