@@ -204,36 +204,36 @@ def save_bundle(path, model, log=None, config_echo=None, code_maps=None, seed=No
             atomic_write_text(path / "training_notes.txt", "\n".join(log.notes) + "\n")
 
 
+_FAMILIES = {"baseline": BaselineModel, "hypertree": HyperTreeModel, "treenet": TreeNetModel}
+
+
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except FileNotFoundError:
+        raise DataError(f"bundle file missing: {path}")
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: not valid JSON ({exc})")
+
+
 def load_bundle(path):
     path = Path(path)
-    try:
-        manifest = json.loads((path / "manifest.json").read_text())
-    except FileNotFoundError:
+    mpath = path / "manifest.json"
+    if not mpath.is_file():
         raise DataError(f"not a model bundle (no manifest.json): {path}")
-    family = manifest["family"]
-    if family == "baseline":
-        model = BaselineModel.from_dict(manifest)
-    else:
+    manifest = _read_json(mpath)
+    try:
+        cls = _FAMILIES.get(manifest["family"])
+        if cls is None:
+            raise DataError(f"unknown bundle family {manifest['family']!r}")
         full = dict(manifest)
-        full["ensembles"] = [
-            json.loads((path / fname).read_text())
-            for fname in manifest.get("ensemble_files", [])
-        ]
-        if family == "hypertree":
-            model = HyperTreeModel.from_dict(full)
-        elif family == "treenet":
-            model = TreeNetModel.from_dict(full)
-        else:
-            raise DataError(f"unknown bundle family {family!r}")
-    code_maps = json.loads((path / "code_map.json").read_text())
+        full["ensembles"] = [_read_json(path / fname)
+                             for fname in manifest.get("ensemble_files", [])]
+        model = cls.from_dict(full)
+    except KeyError as exc:
+        raise DataError(f"{mpath}: missing field {exc}")
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{mpath}: invalid field: {exc}")
+    code_maps = _read_json(path / "code_map.json")
     return model, manifest, code_maps
 
-
-def save_baseline_bundle(path, model: BaselineModel, config_echo=None, code_maps=None, seed=None):
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    manifest = model.to_dict()
-    manifest["seed"] = seed
-    manifest["config"] = config_echo or {}
-    atomic_write_text(path / "manifest.json", _dumps(manifest))
-    atomic_write_text(path / "code_map.json", _dumps(code_maps or {}))

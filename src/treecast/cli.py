@@ -15,9 +15,9 @@ import numpy as np
 
 from . import bundle as bundle_io
 from . import hypertree, treenet
-from .config import RunConfig, config_from_dict, load_config
-from .data import PanelDataset, attach_summary, build_lags, ingest_csv, pad_for_ets
-from .datasets import synthetic_panel
+from .config import SECTION_FIELDS, RunConfig, config_from_dict, field_attr, load_config
+from .data import PanelDataset, attach_summary, build_lags, future_panel, ingest_csv
+from .datasets import bundled_path, synthetic_panel
 from .errors import ConfigError, DataError, NumericError, SchemaError
 from .hypertree import BoostConfig
 from .metrics import aggregate, series_metrics
@@ -58,50 +58,30 @@ def prepare_dataset(cfg: RunConfig, path: str | None = None,
     if not data_path:
         raise ConfigError("data.path: required")
     if data_path.startswith("bundled:"):
-        from .datasets import bundled_path
-
         data_path = bundled_path(data_path.split(":", 1)[1])
     ds = ingest_csv(data_path, cfg.data.schema(), code_maps=code_maps)
     if cfg.features.summary:
         ds = attach_summary(ds)
-    if cfg.model.target in ("ets", "ets_linear"):
-        ds = pad_for_ets(ds)
-    if cfg.model.target == "ar":
-        ds = build_lags(ds, cfg.model.p)
-    return ds
+    return cfg.target_spec(ds.frequency).target.prepare(ds)
 
 
 def _config_echo(cfg: RunConfig) -> dict:
-    return {
-        "seed": cfg.seed,
-        "data": {"path": cfg.data.path, "frequency": cfg.data.frequency,
-                 "categorical": cfg.data.categorical, "numeric": cfg.data.numeric},
-        "features": {"calendar": list(cfg.features.calendar), "summary": cfg.features.summary},
-        "model": {"family": cfg.model.family, "target": cfg.model.target,
-                  "p": cfg.model.p, "m": cfg.model.m, "n_season": cfg.model.n_season,
-                  "period": cfg.model.period, "penalty": cfg.model.penalty,
-                  "damping": cfg.model.damping, "grid_search": cfg.model.grid_search,
-                  "fixed_value": cfg.model.fixed_value, "intercept": cfg.model.intercept},
-        "boosting": {"rounds": cfg.boosting.rounds, "learning_rate": cfg.boosting.learning_rate,
-                     "lambda": cfg.boosting.lam, "max_depth": cfg.boosting.max_depth,
-                     "min_leaf": cfg.boosting.min_leaf,
-                     "linear_leaves": cfg.boosting.linear_leaves,
-                     "linear_ridge": cfg.boosting.linear_ridge},
-        "net": cfg.net.to_dict(),
-        "eval": {"horizon": cfg.eval.horizon, "reference_path": cfg.eval.reference_path,
-                 "average_parameters": cfg.eval.average_parameters},
-    }
+    """The effective configuration in file layout, as bundles record it."""
+    echo = {"seed": cfg.seed}
+    for section, keys in SECTION_FIELDS.items():
+        obj = getattr(cfg, section)
+        echo[section] = {key: getattr(obj, field_attr(section, key)) for key in keys}
+    return echo
 
 
 def train_from_config(cfg: RunConfig, out_dir):
     ds = prepare_dataset(cfg)
     spec = cfg.target_spec(ds.frequency)
     echo = _config_echo(cfg)
+    log = None
     if cfg.model.family == "baseline":
         model = bundle_io.train_baseline(ds, cfg)
-        bundle_io.save_baseline_bundle(out_dir, model, echo, ds.code_maps, cfg.seed)
-        return model, None
-    if cfg.model.family == "hypertree":
+    elif cfg.model.family == "hypertree":
         model, log = hypertree.train(ds, spec, cfg.boosting, cfg.recipe())
     else:
         model, log = treenet.train(ds, spec, cfg.boosting, cfg.net, cfg.seed, cfg.recipe())
@@ -186,15 +166,11 @@ def cmd_evaluate(forecast_path, actuals_path, reference_path, out, dataset,
     actual = bundle_io.read_value_csv(actuals_path)
     ref = bundle_io.read_value_csv(reference_path) if reference_path else None
 
-    missing = [k for k in fc if k not in actual]
-    if missing:
-        lines = "\n  ".join(f"{sid} @ {ts}" for sid, ts in sorted(missing)[:20])
-        raise DataError(f"forecast keys missing from actuals:\n  {lines}")
-    if ref is not None:
-        missing = [k for k in fc if k not in ref]
+    for label, table in (("actuals", actual), ("reference", ref)):
+        missing = [] if table is None else [k for k in fc if k not in table]
         if missing:
             lines = "\n  ".join(f"{sid} @ {ts}" for sid, ts in sorted(missing)[:20])
-            raise DataError(f"forecast keys missing from reference:\n  {lines}")
+            raise DataError(f"forecast keys missing from {label}:\n  {lines}")
 
     by_series: dict = {}
     for (sid, ts), val in sorted(fc.items()):
@@ -374,8 +350,6 @@ def cmd_export(bundle_dir, data_path, what, horizon, out):
 
 
 def export_rows(model, ds: PanelDataset, h: int, what: str):
-    from .data import future_panel
-
     fut = future_panel(ds, h)
     rows = []
     for phase, panel in (("train", ds), ("forecast", fut)):

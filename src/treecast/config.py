@@ -1,7 +1,8 @@
 """Run configuration: YAML file, validation, ablation switches, overrides.
 
 Precedence: defaults < config file < --set command-line overrides; ablation
-switches are applied last since each one rewrites exactly one field.
+switches are applied last since each one rewrites exactly one field, and
+validation checks the result.
 """
 
 from __future__ import annotations
@@ -11,14 +12,13 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .data import CALENDAR_NAMES, FREQUENCIES
+from .data import CALENDAR_NAMES, FREQUENCIES, seasonal_period
 from .errors import ConfigError
 from .hypertree import BoostConfig, FeatureRecipe
-from .targets import TargetSpec
+from .targets import KINDS, TargetSpec
 from .treenet import NetConfig
 
 FAMILIES = ("hypertree", "treenet", "baseline")
-TARGETS = ("ar", "ets", "ets_linear", "stl", "direct")
 
 ABLATIONS = {
     "a1": "net.d = 5 (wider tree embeddings)",
@@ -91,7 +91,7 @@ class RunConfig:
     def target_spec(self, frequency: str) -> TargetSpec:
         m = self.model.m
         if m is None:
-            m = {"monthly": 12, "daily": 7, "yearly": 1}[frequency]
+            m = seasonal_period(frequency)
         return TargetSpec(
             kind=self.model.target,
             p=self.model.p,
@@ -105,11 +105,11 @@ class RunConfig:
     def recipe(self) -> FeatureRecipe:
         return FeatureRecipe(
             calendar=tuple(self.features.calendar),
-            include_time=self.model.target == "stl",
+            include_time=KINDS[self.model.target].time_feature,
         )
 
 
-_SECTION_FIELDS = {
+SECTION_FIELDS = {  # file layout; also the order of a bundle's config echo
     "data": ("path", "frequency", "categorical", "numeric"),
     "features": ("calendar", "summary"),
     "model": ("family", "target", "p", "m", "n_season", "period", "penalty",
@@ -122,12 +122,17 @@ _SECTION_FIELDS = {
 }
 
 
+def field_attr(section: str, key: str) -> str:
+    """Attribute holding a config field (``lambda`` is a Python keyword)."""
+    return "lam" if (section, key) == ("boosting", "lambda") else key
+
+
 def _apply_section(obj, section, raw, errors):
     for key, value in raw.items():
-        if key not in _SECTION_FIELDS[section]:
+        if key not in SECTION_FIELDS[section]:
             errors.append(f"{section}.{key}: unknown field")
             continue
-        attr = "lam" if (section, key) == ("boosting", "lambda") else key
+        attr = field_attr(section, key)
         if attr == "betas" and isinstance(value, list):
             value = tuple(value)
         setattr(obj, attr, value)
@@ -179,10 +184,11 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> RunConfig:
     for leftover in raw:
         errors.append(f"{leftover}: unknown section")
 
+    apply_ablations(cfg)
     errors.extend(_validate(cfg))
     if errors:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(sorted(errors)))
-    return apply_ablations(cfg)
+    return cfg
 
 
 def _set_dotted(raw: dict, dotted: str, value):
@@ -201,10 +207,12 @@ def _validate(cfg: RunConfig) -> list:
         errors.append("seed: must be an integer")
     if cfg.model.family not in FAMILIES:
         errors.append(f"model.family: must be one of {FAMILIES}")
-    if cfg.model.target not in TARGETS:
-        errors.append(f"model.target: must be one of {TARGETS}")
+    if cfg.model.target not in KINDS:
+        errors.append(f"model.target: must be one of {tuple(KINDS)}")
     if cfg.model.target == "ar" and cfg.model.p < 1:
         errors.append("model.p: must be >= 1 for the ar target")
+    if cfg.eval.average_parameters and cfg.model.target != "ar":
+        errors.append("eval.average_parameters: applies to the ar target only")
     if cfg.model.damping not in ("power", "cumprod"):
         errors.append("model.damping: must be power or cumprod")
     if cfg.data.frequency and cfg.data.frequency not in FREQUENCIES:

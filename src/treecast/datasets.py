@@ -19,16 +19,6 @@ def air_passengers_path() -> str:
     return bundled_path("air_passengers.csv")
 
 
-def panel_a_path() -> str:
-    """Three equal-length synthetic seasonal series with a categorical column."""
-    return bundled_path("panel_seasonal_a.csv")
-
-
-def panel_b_path() -> str:
-    """Three positive seasonal series of unequal length (exercises padding)."""
-    return bundled_path("panel_seasonal_b.csv")
-
-
 def synthetic_panel(n_series: int, length: int, seed: int = 0,
                     frequency: str = "monthly") -> PanelDataset:
     """Seasonal panel with trend and noise, built in memory.

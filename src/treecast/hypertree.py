@@ -18,7 +18,7 @@ import numpy as np
 from .boosting import TreeEnsemble, TreeParams, tree_values
 from .data import PanelDataset, feature_matrix, future_panel
 from .errors import NumericError, SchemaError
-from .targets import Objective, TargetSpec, default_base_raw, link_values
+from .targets import Objective, TargetSpec
 
 
 @dataclass
@@ -97,7 +97,7 @@ class HyperTreeModel:
     def predict_parameters(self, X: np.ndarray):
         """(raw, linked values), both (N, P)."""
         raw = self.predict_raw(X)
-        return raw, link_values(self.spec, raw)
+        return raw, self.spec.target.link(raw)
 
     def gain_importances(self) -> list:
         return [ens.gain_importances() for ens in self.ensembles]
@@ -132,7 +132,7 @@ def train(ds: PanelDataset, spec: TargetSpec, config: BoostConfig,
     fs = recipe.build(ds)
     objective = Objective(ds, spec)
     P = spec.param_count
-    base = default_base_raw(spec, ds)
+    base = spec.target.base(ds)
     params = config.tree_params()
     ensembles = [TreeEnsemble(params, base=0.0, n_features=fs.n_features) for _ in range(P)]
     raw = np.tile(base, (ds.n_rows, 1))
@@ -167,43 +167,22 @@ def forecast(model, ds: PanelDataset, h: int, average: bool = False) -> dict:
     ``model`` needs predict_parameters / recipe / spec / check_schema, which
     both the per-parameter and the embedding-decoder models provide.  With
     ``average`` the horizon's parameters are averaged and held constant
-    (autoregressive targets only).
+    (the CLI allows this for autoregressive targets only).
     """
-    from .targets import ar_forecast_recursive, ets_filter, ets_forecast, stl_components
-
     if h == 0:
         return {s.series_id: (np.empty(0), []) for s in ds.series}
-    spec = model.spec
+    target = model.spec.target
     fut = future_panel(ds, h)
     fs_future = model.recipe.build(fut)
     model.check_schema(fs_future.names)
     _, values_f = model.predict_parameters(fs_future.X)
+    state = target.forecast_state(model, ds)
     out = {}
-
-    if spec.kind in ("ets", "ets_linear"):
-        fs_train = model.recipe.build(ds)
-        _, values_t = model.predict_parameters(fs_train.X)
-        objective = Objective(ds, spec)
-
     for i, s in enumerate(ds.series):
-        rows = ds.rows_of(i)
         frows = fut.rows_of(i)
         vals_f = values_f[frows]
         if average:
-            if spec.kind != "ar":
-                raise NumericError("parameter averaging applies to autoregressive targets only")
             vals_f = average_parameters(vals_f)
-        if spec.kind == "ar":
-            history = ds.y[rows][ds.mask[rows]]
-            fc = ar_forecast_recursive(vals_f, history, h)
-        elif spec.kind in ("ets", "ets_linear"):
-            _, state = ets_filter(ds.y[rows], values_t[rows], spec,
-                                  objective._inits[i], ds.mask[rows], s.series_id)
-            phi = vals_f[:, 3] if spec.kind == "ets" else np.ones(h)
-            fc = ets_forecast(state, phi, h, spec)
-        elif spec.kind == "stl":
-            _, _, fc = stl_components(vals_f, fut.time_index[frows], spec)
-        else:  # direct
-            fc = vals_f[:, 0]
+        fc = target.forecast(vals_f, ds, i, fut.time_index[frows], state)
         out[s.series_id] = (fc, list(fut.series[i].timestamps))
     return out

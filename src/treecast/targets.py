@@ -1,8 +1,24 @@
 """Target time-series models driven by per-observation parameter vectors.
 
-Each target maps an (N, P) matrix of raw (pre-link) parameters to fitted
-values and h-step forecasts, and supplies per-row first/second derivatives
-of the squared-error loss with respect to the raw parameters.  Smoothing
+Each target kind is one ``Target`` class, and ``KINDS`` maps the kind
+named in a ``TargetSpec`` to it; training, forecasting and data
+preparation reach a kind only through its class.  A kind supplies
+
+- ``param_names``, one per raw parameter column; ``link(raw)`` into the
+  parameter domain, its elementwise ``slope``, and ``base(ds)``, the raw
+  start every ensemble boosts from;
+- ``prepare(ds)``, its own data preparation, and ``time_feature``, whether
+  the trees also see the raw time index;
+- ``bind(ds)`` -> (training weight, ``state`` reused by every loss);
+- ``loss(raw, ds, state)``, masked and floored, or with ``per_series``
+  ``series_loss(raw, ds, i, rows, state)`` of series i: both return
+  (loss, g, h, fitted);
+- ``fitted_jacobian(ds, weight, state)`` when the fit is row-local, else
+  None;
+- ``forecast_state(model, ds)`` once, then ``forecast(values, ds, i,
+  t_future, state)`` from series i's (h, P) horizon parameters.
+
+The numeric kernels the classes call are plain functions.  Smoothing
 parameters pass through scaled sigmoids so alpha/beta/gamma stay inside
 (0, 1) and the damping factor inside (0, 1]; autoregressive and
 trend/Fourier coefficients use the identity link.
@@ -15,11 +31,13 @@ positive by construction everywhere else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .boosting import HESS_FLOOR
+from .data import build_lags, pad_for_ets
 from .errors import NumericError
 
 SIG_EPS = 1e-6     # keeps smoothing parameters strictly inside their domain
@@ -47,49 +65,27 @@ class TargetSpec:
     damping: str = "power"
 
     def __post_init__(self):
-        if self.kind not in ("ar", "ets", "ets_linear", "stl", "direct"):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown target kind {self.kind!r}")
         if self.kind == "ar" and self.p < 1:
             raise ValueError("ar target needs p >= 1")
         if self.damping not in ("power", "cumprod"):
             raise ValueError(f"unknown damping convention {self.damping!r}")
 
+    @cached_property
+    def target(self) -> "Target":
+        return KINDS[self.kind](self)
+
     @property
     def param_count(self) -> int:
-        return {
-            "ar": self.p,
-            "ets": 4,
-            "ets_linear": 2,
-            "stl": 2 + 2 * self.n_season,
-            "direct": 1,
-        }[self.kind]
+        return len(self.target.param_names)
 
     @property
     def param_names(self) -> tuple:
-        if self.kind == "ar":
-            return tuple(f"ar_{j}" for j in range(1, self.p + 1))
-        if self.kind == "ets":
-            return ("alpha", "beta", "gamma", "phi")
-        if self.kind == "ets_linear":
-            return ("alpha", "beta")
-        if self.kind == "stl":
-            return (
-                ("trend_intercept", "trend_slope")
-                + tuple(f"sin_{i}" for i in range(1, self.n_season + 1))
-                + tuple(f"cos_{i}" for i in range(1, self.n_season + 1))
-            )
-        return ("output",)
+        return self.target.param_names
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "p": self.p,
-            "m": self.m,
-            "n_season": self.n_season,
-            "period": self.period,
-            "penalty": self.penalty,
-            "damping": self.damping,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TargetSpec":
@@ -105,67 +101,9 @@ def _sigmoid(x):
     return out
 
 
-def link_values(spec: TargetSpec, raw: np.ndarray) -> np.ndarray:
-    """Map raw tree/net outputs into the parameter domain, elementwise."""
-    raw = np.asarray(raw, dtype=np.float64)
-    if spec.kind in ("ar", "stl", "direct"):
-        return raw.copy()
-    s = _sigmoid(raw)
-    out = SIG_EPS + (1.0 - 2.0 * SIG_EPS) * s
-    if spec.kind == "ets":
-        out[:, PHI] = SIG_EPS + (1.0 - SIG_EPS) * s[:, PHI]  # (eps, 1]
-    return out
-
-
-def link_slope(spec: TargetSpec, raw: np.ndarray) -> np.ndarray:
-    """d(values)/d(raw), elementwise."""
-    raw = np.asarray(raw, dtype=np.float64)
-    if spec.kind in ("ar", "stl", "direct"):
-        return np.ones_like(raw)
-    s = _sigmoid(raw)
-    out = (1.0 - 2.0 * SIG_EPS) * s * (1.0 - s)
-    if spec.kind == "ets":
-        out[:, PHI] = (1.0 - SIG_EPS) * s[:, PHI] * (1.0 - s[:, PHI])
-    return out
-
-
-def inverse_link_scalar(spec: TargetSpec, col: int, value: float) -> float:
-    """Raw value whose link equals ``value`` (used for base initialization)."""
-    if spec.kind in ("ar", "stl", "direct"):
-        return value
-    if spec.kind == "ets" and col == PHI:
-        s = (value - SIG_EPS) / (1.0 - SIG_EPS)
-    else:
-        s = (value - SIG_EPS) / (1.0 - 2.0 * SIG_EPS)
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"value {value} outside link range for column {col}")
-    return math.log(s / (1.0 - s))
-
-
 # --------------------------------------------------------------------------
-# autoregressive target
+# autoregressive kernel
 # --------------------------------------------------------------------------
-
-def ar_fit_values(values: np.ndarray, lags: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """fitted_t = sum_j theta_{j,t} * y_{t-j}; rows without lags produce 0."""
-    clean = np.where(valid[:, None], lags, 0.0)
-    return np.einsum("np,np->n", values, clean)
-
-
-def ar_derivatives(values, lags, y, weight):
-    """Per-row gradient/Hessian of the squared error w.r.t. the coefficients.
-
-    g_j = 2 r y_{t-j}, h_j = 2 y_{t-j}^2 with r the signed residual; rows
-    with weight 0 carry zeros.
-    """
-    valid = weight > 0
-    fitted = ar_fit_values(values, lags, valid)
-    r = np.where(valid, fitted - y, 0.0)
-    clean = np.where(valid[:, None], lags, 0.0)
-    g = 2.0 * r[:, None] * clean
-    h = 2.0 * clean * clean * valid[:, None]
-    return fitted, g, h
-
 
 def ar_forecast_recursive(theta_future: np.ndarray, history, h: int) -> np.ndarray:
     """Iterate the AR recursion h steps, feeding forecasts back as lags."""
@@ -181,7 +119,7 @@ def ar_forecast_recursive(theta_future: np.ndarray, history, h: int) -> np.ndarr
 
 
 # --------------------------------------------------------------------------
-# exponential smoothing target (damped trend, multiplicative seasonality;
+# exponential smoothing kernels (damped trend, multiplicative seasonality;
 # the linear-trend variant drops the seasonal ring and the damping factor)
 # --------------------------------------------------------------------------
 
@@ -222,22 +160,6 @@ def ets_init(y: np.ndarray, m: int, seasonal: bool) -> EtsState:
     return EtsState(l0, b0, ring.astype(np.float64))
 
 
-def _ets_cols(spec: TargetSpec, values: np.ndarray):
-    """(alpha, beta, gamma, phi) columns; the linear variant fixes gamma=0, phi=1."""
-    n = values.shape[0]
-    if spec.kind == "ets":
-        return values[:, ALPHA], values[:, BETA], values[:, GAMMA], values[:, PHI]
-    return values[:, 0], values[:, 1], np.zeros(n), np.ones(n)
-
-
-def _check_domain(spec, values):
-    a, b, gmm, phi = _ets_cols(spec, values)
-    if np.any((a < 0) | (a > 1)) or np.any((b < 0) | (b > 1)) or np.any((gmm < 0) | (gmm > 1)):
-        raise NumericError("smoothing parameters must lie in [0, 1]")
-    if np.any((phi <= 0) | (phi > 1)):
-        raise NumericError("damping factor must lie in (0, 1]")
-
-
 def ets_filter(y, values, spec: TargetSpec, init: EtsState, mask=None, series_id=""):
     """One-step-ahead filter.
 
@@ -248,12 +170,12 @@ def ets_filter(y, values, spec: TargetSpec, init: EtsState, mask=None, series_id
     y = np.asarray(y, dtype=np.float64)
     T = len(y)
     values = np.asarray(values, dtype=np.float64)
-    _check_domain(spec, values)
+    target = spec.target
+    target.check_domain(values)
     if mask is None:
         mask = np.ones(T, dtype=bool)
-    seasonal = spec.kind == "ets"
-    m = spec.m if seasonal else 1
-    a, b_, gmm, phi = _ets_cols(spec, values)
+    seasonal, m = target.seasonal, target.m
+    a, b_, gmm, phi = target.columns(values)
 
     level, trend = init.level, init.trend
     ring = init.ring.astype(np.float64).copy()
@@ -292,8 +214,7 @@ def ets_forecast(state: EtsState, phi_future, h: int, spec: TargetSpec) -> np.nd
     damped-trend formula; "cumprod" uses the running product instead.
     """
     phi_future = np.asarray(phi_future, dtype=np.float64)
-    seasonal = spec.kind == "ets"
-    m = spec.m if seasonal else 1
+    seasonal, m = spec.target.seasonal, spec.target.m
     out = np.empty(h)
     damp_sum = 0.0
     cumprod = 1.0
@@ -323,12 +244,12 @@ def ets_derivatives(y, raw, spec: TargetSpec, init: EtsState, mask=None, series_
     P = raw.shape[1]
     if mask is None:
         mask = np.ones(T, dtype=bool)
-    values = link_values(spec, raw)
-    slopes = link_slope(spec, raw)
-    _check_domain(spec, values)
-    seasonal = spec.kind == "ets"
-    m = spec.m if seasonal else 1
-    a, b_, gmm, phi = _ets_cols(spec, values)
+    target = spec.target
+    values = target.link(raw)
+    slopes = target.slope(raw)
+    target.check_domain(values)
+    seasonal, m = target.seasonal, target.m
+    a, b_, gmm, phi = target.columns(values)
 
     level, trend = init.level, init.trend
     ring = init.ring.astype(np.float64).copy()
@@ -389,7 +310,7 @@ def ets_derivatives(y, raw, spec: TargetSpec, init: EtsState, mask=None, series_
 
 
 # --------------------------------------------------------------------------
-# trend + Fourier seasonality target
+# trend + Fourier seasonality kernels
 # --------------------------------------------------------------------------
 
 def stl_basis(spec: TargetSpec, t: np.ndarray) -> np.ndarray:
@@ -467,6 +388,221 @@ def stl_loss_grad(raw, t, y, spec: TargetSpec, mask=None):
 
 
 # --------------------------------------------------------------------------
+# one class per target kind
+# --------------------------------------------------------------------------
+
+class Target:
+    """The protocol (see the module docstring), with the identity-link
+    defaults of the kinds that need nothing else."""
+
+    per_series = False
+    time_feature = False
+
+    def __init__(self, spec: TargetSpec):
+        self.spec = spec
+
+    def link(self, raw: np.ndarray) -> np.ndarray:
+        return np.asarray(raw, dtype=np.float64).copy()
+
+    def slope(self, raw: np.ndarray) -> np.ndarray:
+        return np.ones_like(np.asarray(raw, dtype=np.float64))
+
+    def base(self, ds) -> np.ndarray:
+        return np.zeros(len(self.param_names))
+
+    def prepare(self, ds):
+        return ds
+
+    def bind(self, ds):
+        return ds.mask.copy(), None
+
+    def fitted_jacobian(self, ds, weight, state):
+        return None
+
+    def forecast_state(self, model, ds):
+        return None
+
+
+class ArTarget(Target):
+    """fitted_t = sum_j theta_{j,t} * x_{t,j} over a fixed design, here the
+    lags y_{t-j}; rows without lags fit 0."""
+
+    @property
+    def param_names(self) -> tuple:
+        return tuple(f"ar_{j}" for j in range(1, self.spec.p + 1))
+
+    def prepare(self, ds):
+        return build_lags(ds, self.spec.p)
+
+    def design(self, ds):
+        """(training weight, (N, P) regressors)."""
+        if ds.lags is None or ds.p != self.spec.p:
+            raise ValueError("dataset lags not built for this AR order")
+        return ds.lag_valid & ds.mask, ds.lags
+
+    def bind(self, ds):
+        weight, X = self.design(ds)
+        # constants of the quadratic objective, shared across rounds
+        X = np.where(weight[:, None], X, 0.0)
+        h = np.where(weight[:, None], np.maximum(2.0 * X * X, HESS_FLOOR), 0.0)
+        return weight, (X, h, np.where(weight, ds.y, 0.0))
+
+    def loss(self, raw, ds, state):
+        # identity link; regressors pre-zeroed outside the training weight,
+        # so fitted and r vanish there and h is the cached constant
+        X, h, y = state
+        fitted = np.einsum("np,np->n", raw, X)
+        r = fitted - y
+        g = (2.0 * r)[:, None] * X
+        return float(np.dot(r, r)), g, h, fitted
+
+    def fitted_jacobian(self, ds, weight, state):
+        return state[0]
+
+    def forecast(self, values, ds, i, t_future, state):
+        rows = ds.rows_of(i)
+        return ar_forecast_recursive(values, ds.y[rows][ds.mask[rows]], len(values))
+
+
+class SmoothingTarget(Target):
+    """Damped-trend smoothing with multiplicative seasonality; its state
+    couples the rows of a series, so there is no row-local Jacobian."""
+
+    per_series = True
+    seasonal = True
+
+    def __init__(self, spec: TargetSpec):
+        super().__init__(spec)
+        self.m = spec.m if self.seasonal else 1
+        self._scale = np.full(len(self.param_names), 1.0 - 2.0 * SIG_EPS)
+        if self.seasonal:
+            self._scale[PHI] = 1.0 - SIG_EPS  # damping may reach 1
+
+    @property
+    def param_names(self) -> tuple:
+        return ("alpha", "beta", "gamma", "phi") if self.seasonal else ("alpha", "beta")
+
+    def link(self, raw):
+        return SIG_EPS + self._scale * _sigmoid(np.asarray(raw, dtype=np.float64))
+
+    def slope(self, raw):
+        s = _sigmoid(np.asarray(raw, dtype=np.float64))
+        return self._scale * s * (1.0 - s)
+
+    def base(self, ds):
+        # every parameter starts at 0.3 through the link
+        s = (0.3 - SIG_EPS) / self._scale
+        return np.array([math.log(x / (1.0 - x)) for x in s])
+
+    def prepare(self, ds):
+        return pad_for_ets(ds)
+
+    def columns(self, values):
+        """(alpha, beta, gamma, phi) columns; the linear variant fixes gamma=0, phi=1."""
+        if self.seasonal:
+            return values[:, ALPHA], values[:, BETA], values[:, GAMMA], values[:, PHI]
+        n = values.shape[0]
+        return values[:, 0], values[:, 1], np.zeros(n), np.ones(n)
+
+    def check_domain(self, values):
+        a, b, gmm, phi = self.columns(values)
+        if np.any((a < 0) | (a > 1)) or np.any((b < 0) | (b > 1)) or np.any((gmm < 0) | (gmm > 1)):
+            raise NumericError("smoothing parameters must lie in [0, 1]")
+        if np.any((phi <= 0) | (phi > 1)):
+            raise NumericError("damping factor must lie in (0, 1]")
+
+    def bind(self, ds):
+        inits = []  # each series' start state, from its unmasked observations
+        for i in range(ds.n_series):
+            rows = ds.rows_of(i)
+            inits.append(ets_init(ds.y[rows][ds.mask[rows]], self.spec.m, self.seasonal))
+        return ds.mask.copy(), inits
+
+    def series_loss(self, raw, ds, i, rows, inits):
+        return ets_derivatives(ds.y[rows], raw, self.spec, inits[i],
+                               ds.mask[rows], ds.series[i].series_id)
+
+    def forecast_state(self, model, ds):
+        # the filter replays the training rows to reach each series' end state
+        _, values = model.predict_parameters(model.recipe.build(ds).X)
+        return values, self.bind(ds)[1]
+
+    def forecast(self, values, ds, i, t_future, state):
+        values_t, inits = state
+        rows = ds.rows_of(i)
+        _, end = ets_filter(ds.y[rows], values_t[rows], self.spec, inits[i],
+                            ds.mask[rows], ds.series[i].series_id)
+        h = len(values)
+        phi = values[:, PHI] if self.seasonal else np.ones(h)
+        return ets_forecast(end, phi, h, self.spec)
+
+
+class LinearSmoothingTarget(SmoothingTarget):
+    """Linear-trend smoothing: no seasonal ring and no damping factor."""
+
+    seasonal = False
+
+
+class StlTarget(Target):
+    """Trend (intercept + slope * t) plus Fourier seasonality, with a
+    smoothness penalty on the trend coefficients along each series."""
+
+    per_series = True
+    time_feature = True
+
+    @property
+    def param_names(self) -> tuple:
+        n = self.spec.n_season
+        return (
+            ("trend_intercept", "trend_slope")
+            + tuple(f"sin_{i}" for i in range(1, n + 1))
+            + tuple(f"cos_{i}" for i in range(1, n + 1))
+        )
+
+    def base(self, ds):
+        base = np.zeros(len(self.param_names))
+        base[0] = float(np.mean(ds.y[ds.mask]))
+        return base
+
+    def series_loss(self, raw, ds, i, rows, state):
+        return stl_loss_grad(raw, ds.time_index[rows], ds.y[rows], self.spec, ds.mask[rows])
+
+    def fitted_jacobian(self, ds, weight, state):
+        return stl_basis(self.spec, ds.time_index) * weight[:, None]
+
+    def forecast(self, values, ds, i, t_future, state):
+        return stl_components(values, t_future, self.spec)[2]
+
+
+class DirectTarget(ArTarget):
+    """No target model: the single parameter, times a constant regressor
+    of 1, is the fitted value."""
+
+    param_names = ("output",)
+
+    def prepare(self, ds):
+        return ds
+
+    def design(self, ds):
+        return ds.mask.copy(), np.ones((ds.n_rows, 1))
+
+    def base(self, ds):
+        return np.array([float(np.mean(ds.y[ds.mask]))])
+
+    def forecast(self, values, ds, i, t_future, state):
+        return values[:, 0]
+
+
+KINDS = {
+    "ar": ArTarget,
+    "ets": SmoothingTarget,
+    "ets_linear": LinearSmoothingTarget,
+    "stl": StlTarget,
+    "direct": DirectTarget,
+}
+
+
+# --------------------------------------------------------------------------
 # objective adapter: binds a prepared dataset to a target spec
 # --------------------------------------------------------------------------
 
@@ -481,32 +617,10 @@ class Objective:
     """
 
     def __init__(self, ds, spec: TargetSpec):
-        self.spec = spec
         self.ds = ds
-        if spec.kind == "ar":
-            if ds.lags is None or ds.p != spec.p:
-                raise ValueError("dataset lags not built for this AR order")
-            self.weight = ds.lag_valid & ds.mask
-            # constants of the quadratic objective, shared across rounds
-            self._ar_lags = np.where(self.weight[:, None], ds.lags, 0.0)
-            self._ar_h = np.where(
-                self.weight[:, None],
-                np.maximum(2.0 * self._ar_lags * self._ar_lags, HESS_FLOOR),
-                0.0,
-            )
-            self._ar_y = np.where(self.weight, ds.y, 0.0)
-        elif spec.kind in ("ets", "ets_linear"):
-            self.weight = ds.mask.copy()
-            self._series_rows = [ds.rows_of(i) for i in range(ds.n_series)]
-            self._inits = []
-            for i, rows in enumerate(self._series_rows):
-                yv = ds.y[rows][ds.mask[rows]]
-                self._inits.append(ets_init(yv, spec.m, spec.kind == "ets"))
-        elif spec.kind == "stl":
-            self.weight = ds.mask.copy()
-            self._series_rows = [ds.rows_of(i) for i in range(ds.n_series)]
-        else:  # direct
-            self.weight = ds.mask.copy()
+        self.target = spec.target
+        self.weight, self._state = self.target.bind(ds)
+        self._series_rows = [ds.rows_of(i) for i in range(ds.n_series)]
         self.n_weight = int(self.weight.sum())
         if self.n_weight == 0:
             raise NumericError("no unmasked training rows: loss is empty")
@@ -518,50 +632,20 @@ class Objective:
         return loss, g, h, fitted
 
     def evaluate(self, raw: np.ndarray):
-        spec, ds = self.spec, self.ds
-        if spec.kind == "ar":
-            # identity link; lags pre-zeroed outside the training weight,
-            # so fitted and r vanish there and h is the cached constant
-            fitted = np.einsum("np,np->n", raw, self._ar_lags)
-            r = fitted - self._ar_y
-            loss = float(np.dot(r, r))
-            g = (2.0 * r)[:, None] * self._ar_lags
-            return loss, g, self._ar_h, fitted
-        if spec.kind in ("ets", "ets_linear"):
-            g = np.zeros_like(raw)
-            h = np.zeros_like(raw)
-            fitted = np.zeros(ds.n_rows)
-            loss = 0.0
-            for i, rows in enumerate(self._series_rows):
-                li, gi, hi, fi = ets_derivatives(
-                    ds.y[rows], raw[rows], spec, self._inits[i],
-                    ds.mask[rows], ds.series[i].series_id,
-                )
-                loss += li
-                g[rows] = gi
-                h[rows] = hi
-                fitted[rows] = fi
-            return self._final(loss, g, h, fitted)
-        if spec.kind == "stl":
-            g = np.zeros_like(raw)
-            h = np.zeros_like(raw)
-            fitted = np.zeros(ds.n_rows)
-            loss = 0.0
-            for rows in self._series_rows:
-                li, gi, hi, fi = stl_loss_grad(
-                    raw[rows], ds.time_index[rows], ds.y[rows], spec, ds.mask[rows]
-                )
-                loss += li
-                g[rows] = gi
-                h[rows] = hi
-                fitted[rows] = fi
-            return self._final(loss, g, h, fitted)
-        # direct: the parameter IS the fitted value
-        fitted = raw[:, 0].copy()
-        r = np.where(self.weight, fitted - ds.y, 0.0)
-        g = (2.0 * r)[:, None]
-        h = np.full_like(raw, 2.0)
-        return self._final(float(np.dot(r, r)), g, h, fitted)
+        target, ds = self.target, self.ds
+        if not target.per_series:
+            return target.loss(raw, ds, self._state)
+        g = np.zeros_like(raw)
+        h = np.zeros_like(raw)
+        fitted = np.zeros(ds.n_rows)
+        loss = 0.0
+        for i, rows in enumerate(self._series_rows):
+            li, gi, hi, fi = target.series_loss(raw[rows], ds, i, rows, self._state)
+            loss += li
+            g[rows] = gi
+            h[rows] = hi
+            fitted[rows] = fi
+        return self._final(loss, g, h, fitted)
 
     def local_fitted_jacobian(self, raw: np.ndarray):
         """d fitted_row / d raw_row for targets whose fit is row-local.
@@ -569,25 +653,4 @@ class Objective:
         Used for Gauss-Newton transport of curvature onto embeddings.
         Returns None for the smoothing recursions (state couples rows).
         """
-        spec, ds = self.spec, self.ds
-        if spec.kind == "ar":
-            return self._ar_lags
-        if spec.kind == "stl":
-            return stl_basis(spec, ds.time_index) * self.weight[:, None]
-        if spec.kind == "direct":
-            return self.weight[:, None].astype(np.float64)
-        return None
-
-
-def default_base_raw(spec: TargetSpec, ds) -> np.ndarray:
-    """Neutral starting parameters: AR zeros, smoothing 0.3, trend at the mean."""
-    P = spec.param_count
-    base = np.zeros(P)
-    if spec.kind in ("ets", "ets_linear"):
-        for j in range(P):
-            base[j] = inverse_link_scalar(spec, j, 0.3)
-    elif spec.kind == "stl":
-        base[0] = float(np.mean(ds.y[ds.mask]))
-    elif spec.kind == "direct":
-        base[0] = float(np.mean(ds.y[ds.mask]))
-    return base
+        return self.target.fitted_jacobian(self.ds, self.weight, self._state)

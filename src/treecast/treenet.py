@@ -20,9 +20,9 @@ import numpy as np
 
 from .boosting import HESS_FLOOR, TreeEnsemble, tree_values
 from .data import PanelDataset
-from .errors import NumericError, SchemaError
-from .hypertree import BoostConfig, FeatureRecipe, TrainLog
-from .targets import Objective, TargetSpec, link_slope, link_values
+from .errors import NumericError
+from .hypertree import BoostConfig, FeatureRecipe, HyperTreeModel, TrainLog
+from .targets import Objective, TargetSpec
 
 
 class NetConfig:
@@ -94,44 +94,37 @@ class Mlp:
         self._adam = None
 
     def forward(self, z, dropout=0.0, rng=None, scratch: MlpScratch | None = None):
-        """Returns (output, cache); pass dropout > 0 only in training mode."""
+        """Returns (output, cache); pass dropout > 0 only in training mode.
+
+        Without ``scratch`` every pass writes into fresh buffers.
+        """
         if scratch is None:
-            a = z @ self.W1 + self.b1
-            r = np.maximum(a, 0.0)
-            o = r @ self.W2 + self.b2
-        else:
-            a, r, o = scratch.a, scratch.r, scratch.o
-            np.matmul(z, self.W1, out=a)
-            np.add(a, self.b1, out=a)
-            np.maximum(a, 0.0, out=r)
-            np.matmul(r, self.W2, out=o)
-            np.add(o, self.b2, out=o)
+            scratch = MlpScratch(z.shape[0], *self.W2.shape)
+        a, r, o = scratch.a, scratch.r, scratch.o
+        np.matmul(z, self.W1, out=a)
+        np.add(a, self.b1, out=a)
+        np.maximum(a, 0.0, out=r)
+        np.matmul(r, self.W2, out=o)
+        np.add(o, self.b2, out=o)
         drop_scale = None
         if dropout > 0.0:
             keep = (rng.random(o.shape) >= dropout).astype(np.float64)
             drop_scale = keep / (1.0 - dropout)
-            if scratch is None:
-                o = o * drop_scale
-            else:
-                np.multiply(o, drop_scale, out=o)
+            np.multiply(o, drop_scale, out=o)
         return o, (z, a, r, drop_scale)
 
     def backward(self, cache, upstream, scratch: MlpScratch | None = None):
         """Gradients of the scalar loss w.r.t. weights, given dL/d(output)."""
         z, a, r, drop_scale = cache
         if scratch is None:
-            do = upstream if drop_scale is None else upstream * drop_scale
-            dr = do @ self.W2.T
-            da = dr * (a > 0)
-        else:
-            if drop_scale is None:
-                do = upstream
-            else:
-                do = scratch.bwd_do
-                np.multiply(upstream, drop_scale, out=do)
-            dr, da = scratch.bwd_dr, scratch.bwd_da
-            np.matmul(do, self.W2.T, out=dr)
-            np.multiply(dr, a > 0, out=da)
+            scratch = MlpScratch(z.shape[0], *self.W2.shape)
+        do = upstream
+        if drop_scale is not None:
+            do = scratch.bwd_do
+            np.multiply(upstream, drop_scale, out=do)
+        dr, da = scratch.bwd_dr, scratch.bwd_da
+        np.matmul(do, self.W2.T, out=dr)
+        np.multiply(dr, a > 0, out=da)
         dW2 = r.T @ do
         db2 = do.sum(axis=0)
         dW1 = z.T @ da
@@ -143,14 +136,10 @@ class Mlp:
 
         dz is a (k,) direction shared by all rows; returns (N, P).
         """
-        _, a, _, drop_scale = cache
-        da = dz @ self.W1
+        z, a, _, drop_scale = cache
         if scratch is None:
-            dr = (a > 0) * da
-            do = dr @ self.W2
-            if drop_scale is not None:
-                do = do * drop_scale
-            return do
+            scratch = MlpScratch(z.shape[0], *self.W2.shape)
+        da = dz @ self.W1
         dr, do = scratch.dir_dr, scratch.dir_do
         np.multiply(a > 0, da, out=dr)
         np.matmul(dr, self.W2, out=do)
@@ -207,11 +196,7 @@ class TreeNetModel:
         self.feat_center = feat_center      # feature-encoder mode only
         self.feat_scale = feat_scale
 
-    def check_schema(self, names):
-        if tuple(names) != self.feature_names:
-            raise SchemaError(
-                f"feature schema mismatch: model has {self.feature_names}, data has {tuple(names)}"
-            )
+    check_schema = HyperTreeModel.check_schema
 
     def embeddings(self, X: np.ndarray) -> np.ndarray:
         if self.net_cfg.encoder == "features":
@@ -233,7 +218,7 @@ class TreeNetModel:
 
     def predict_parameters(self, X: np.ndarray):
         _, raw, _ = self.forward(X, training=False)
-        return raw, link_values(self.spec, raw)
+        return raw, self.spec.target.link(raw)
 
     def to_dict(self):
         return {
@@ -285,7 +270,7 @@ def embedding_grad_hess(model: TreeNetModel, objective: Objective, cache,
     N = raw.shape[0]
     ge = np.zeros((N, d))
     he = np.zeros((N, d))
-    slopes = link_slope(model.spec, raw)
+    slopes = model.spec.target.slope(raw)
     basis = objective.local_fitted_jacobian(raw)
     if basis is not None:
         basis = basis * slopes

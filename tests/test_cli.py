@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +173,59 @@ class TestForecast:
         runner.invoke(main, ["forecast", "--bundle", str(out), "--out", str(f1)])
         runner.invoke(main, ["forecast", "--bundle", str(out), "--out", str(f2)])
         assert f1.read_bytes() == f2.read_bytes()
+
+
+def _drop_family(bundle):
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    del manifest["family"]
+    (bundle / "manifest.json").write_text(json.dumps(manifest))
+    return "manifest.json", "family"
+
+
+def _truncate_ensemble(bundle):
+    target = bundle / "ensemble_00_ar_1.json"
+    target.write_text(target.read_text()[:40])
+    return "ensemble_00_ar_1.json", "JSON"
+
+
+def _remove_ensemble(bundle):
+    (bundle / "ensemble_00_ar_1.json").unlink()
+    return "ensemble_00_ar_1.json", "missing"
+
+
+def _unknown_kind(bundle):
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    manifest["spec"]["kind"] = "arima"
+    (bundle / "manifest.json").write_text(json.dumps(manifest))
+    return "manifest.json", "kind 'arima'"
+
+
+def _remove_code_map(bundle):
+    (bundle / "code_map.json").unlink()
+    return "code_map.json", "missing"
+
+
+@pytest.fixture(scope="module")
+def trained_bundle(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("trained")
+    res = CliRunner().invoke(main, ["train", base_config(tmp, **{"boosting.rounds": 2}),
+                                    "--out", str(tmp / "bundle")])
+    assert res.exit_code == 0, res.output
+    return tmp / "bundle"
+
+
+class TestBundleErrors:
+    @pytest.mark.parametrize("corrupt", [_drop_family, _truncate_ensemble, _remove_ensemble,
+                                         _unknown_kind, _remove_code_map])
+    def test_malformed_bundle_exit_3(self, runner, tmp_path, trained_bundle, corrupt):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(trained_bundle, bundle)
+        fname, field = corrupt(bundle)
+        res = runner.invoke(main, ["forecast", "--bundle", str(bundle),
+                                   "--out", str(tmp_path / "fc.csv")])
+        assert res.exit_code == 3, res.output
+        assert res.output.startswith("data error: ")
+        assert fname in res.output and field in res.output, res.output
 
 
 class TestEvaluate:
@@ -400,6 +454,13 @@ class TestConfig:
         for switch, check in mapping.items():
             cfg = config_from_dict({"model": {"p": 21}, "ablations": {switch: True}})
             assert check(cfg), switch
+
+    def test_average_parameters_needs_ar_target_exit_2(self, runner, tmp_path):
+        for override in ({"eval.average_parameters": True}, {"ablations.a11": True}):
+            cfg = base_config(tmp_path, **{"model.target": "ets"}, **override)
+            res = runner.invoke(main, ["train", cfg, "--out", str(tmp_path / "b")])
+            assert res.exit_code == 2, res.output
+            assert "eval.average_parameters" in res.output
 
     def test_a9_not_supported(self):
         with pytest.raises(ConfigError, match="a9"):

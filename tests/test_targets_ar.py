@@ -3,53 +3,53 @@ import pytest
 
 from treecast.baselines import fit_ols_ar, ols_ar_forecast
 from treecast.losses import finite_diff_check
-from treecast.targets import (Objective, TargetSpec, ar_derivatives, ar_fit_values,
-                              ar_forecast_recursive)
+from treecast.targets import Objective, TargetSpec, ar_forecast_recursive
 
 from conftest import make_panel
 from treecast.data import build_lags
 
 
+def ar_evaluate(series, theta):
+    """(fitted, g, h) of every row of one series, all rows sharing the AR
+    coefficients ``theta``; rows without p lags carry zero weight."""
+    theta = np.asarray(theta, dtype=np.float64)
+    p = theta.shape[-1]
+    ds = build_lags(make_panel({"a": series}), p)
+    raw = np.broadcast_to(theta, (ds.n_rows, p)).copy()
+    _, g, h, fitted = Objective(ds, TargetSpec("ar", p=p)).evaluate(raw)
+    return fitted, g, h
+
+
 class TestFitValues:
     def test_weighted_sum(self):
-        values = np.array([[0.5, 0.5]])
-        lags = np.array([[10.0, 20.0]])
-        assert ar_fit_values(values, lags, np.array([True]))[0] == 15.0
+        fitted, _, _ = ar_evaluate([20.0, 10.0, 0.0], [0.5, 0.5])
+        assert fitted[2] == 15.0
 
     def test_naive_identity(self):
-        values = np.array([[1.0, 0.0, 0.0]])
-        lags = np.array([[7.0, 5.0, 3.0]])
-        assert ar_fit_values(values, lags, np.array([True]))[0] == 7.0
+        fitted, _, _ = ar_evaluate([3.0, 5.0, 7.0, 0.0], [1.0, 0.0, 0.0])
+        assert fitted[3] == 7.0
 
     def test_zero_coefficients(self):
-        values = np.zeros((3, 2))
-        lags = np.ones((3, 2))
-        assert np.array_equal(ar_fit_values(values, lags, np.ones(3, bool)), np.zeros(3))
+        fitted, _, _ = ar_evaluate(np.ones(5), np.zeros(2))
+        assert np.array_equal(fitted, np.zeros(5))
 
     def test_invalid_rows_produce_zero(self):
-        values = np.ones((2, 2))
-        lags = np.array([[np.nan, np.nan], [1.0, 2.0]])
-        out = ar_fit_values(values, lags, np.array([False, True]))
-        assert out[0] == 0.0 and out[1] == 3.0
+        fitted, g, h = ar_evaluate([2.0, 1.0, 5.0], np.ones(2))
+        assert fitted[0] == 0.0 and fitted[1] == 0.0 and fitted[2] == 3.0
+        assert not g[:2].any() and not h[:2].any()
 
 
 class TestDerivatives:
     def test_hand_example(self):
-        values = np.array([[1.0, 1.0]])
-        lags = np.array([[2.0, 3.0]])
-        y = np.array([10.0])
-        fitted, g, h = ar_derivatives(values, lags, y, np.array([1.0]))
-        assert fitted[0] == 5.0
-        assert list(g[0]) == [-20.0, -30.0]
-        assert list(h[0]) == [8.0, 18.0]
+        fitted, g, h = ar_evaluate([3.0, 2.0, 10.0], [1.0, 1.0])
+        assert fitted[2] == 5.0
+        assert list(g[2]) == [-20.0, -30.0]
+        assert list(h[2]) == [8.0, 18.0]
 
     def test_zero_residual_zero_gradient(self):
-        lags = np.array([[2.0, 3.0]])
-        values = np.array([[2.0, 2.0]])
-        y = np.array([10.0])
-        _, g, h = ar_derivatives(values, lags, y, np.array([1.0]))
-        assert np.array_equal(g, np.zeros((1, 2)))
-        assert list(h[0]) == [8.0, 18.0]
+        _, g, h = ar_evaluate([3.0, 2.0, 10.0], [2.0, 2.0])
+        assert np.array_equal(g[2], np.zeros(2))
+        assert list(h[2]) == [8.0, 18.0]
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -87,9 +87,8 @@ class TestRecursiveForecast:
         hist = rng.uniform(1, 5, 6)
         theta = rng.normal(0, 0.4, (1, 4))
         fc = ar_forecast_recursive(theta, hist, 1)
-        lags = hist[-4:][::-1].reshape(1, -1)
-        fit = ar_fit_values(theta, lags, np.array([True]))
-        assert fc[0] == pytest.approx(fit[0], abs=1e-12)
+        fitted, _, _ = ar_evaluate(np.append(hist, 0.0), theta[0])
+        assert fc[0] == pytest.approx(fitted[-1], abs=1e-12)
 
     def test_history_too_short(self):
         with pytest.raises(ValueError, match="history"):

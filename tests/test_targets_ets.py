@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from treecast.errors import NumericError
 from treecast.losses import finite_diff_check
 from treecast.targets import (EtsState, TargetSpec, ets_derivatives, ets_filter,
-                              ets_forecast, ets_init, link_values)
+                              ets_forecast, ets_init)
 
 
 def spec_ets(m=12, damping="power"):
@@ -87,7 +87,7 @@ class TestFilter:
         rng = np.random.default_rng(0)
         y = 20 + np.abs(rng.normal(0, 2, 30))
         init = ets_init(y, 4, True)
-        values = link_values(spec_ets(m=4), rng.normal(0, 1, (30, 4)))
+        values = spec_ets(m=4).target.link(rng.normal(0, 1, (30, 4)))
         f1, s1 = ets_filter(y, values, spec_ets(m=4), init)
         f2, s2 = ets_filter(y, values, spec_ets(m=4), init)
         assert np.array_equal(f1, f2)
@@ -148,7 +148,7 @@ class TestDerivatives:
         m = 4
         spec = spec_ets(m=m)
         raw = rng.normal(0, 0.5, (40, 4))
-        values = link_values(spec, raw)
+        values = spec.target.link(raw)
         level, trend = 100.0, 1.0
         ring = np.array([0.9, 1.1, 1.0, 1.0])
         y = np.empty(40)
@@ -184,7 +184,7 @@ class TestLinks:
     @settings(max_examples=200)
     def test_link_ranges(self, raws):
         spec = spec_ets()
-        values = link_values(spec, np.array([raws]))
+        values = spec.target.link(np.array([raws]))
         a, b, g, p = values[0]
         assert 0.0 < a < 1.0
         assert 0.0 < b < 1.0
