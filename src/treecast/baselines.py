@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericError
 from .targets import TargetSpec, ets_filter, ets_forecast, ets_init
 
 
@@ -109,19 +109,26 @@ def fixed_ets_forecast(series, params: dict, m: int, h: int, kind: str = "ets") 
     return ets_forecast(state, phi_future, h, spec)
 
 
-def grid_search_ets(series, m: int, holdout: int, kind: str = "ets",
+def grid_search_ets(series, m: int, horizon: int, kind: str = "ets",
                     grid=None) -> tuple[float, dict]:
-    """Pick the constant smoothing value minimizing hold-out WAPE.
+    """Pick the constant smoothing value minimizing mean hold-out WAPE.
 
-    All four parameters share one constant, swept over {0.1, ..., 0.9}.
-    Returns (best_value, best_params).
+    ``series`` holds each series' observed values; each holds out its last
+    min(horizon, len // 4) values, and a series with nothing to hold out is
+    skipped.  All parameters share one constant, swept over {0.1, ..., 0.9};
+    a value that trips a numeric guard on any series is not scored, and ties
+    go to the first value.  Returns (best_value, best_params).
     """
     from .metrics import wape
 
-    y = np.asarray(series, dtype=np.float64)
-    if holdout < 1 or holdout >= len(y):
-        raise ValueError("holdout must be in [1, len(series))")
-    train, test = y[:-holdout], y[-holdout:]
+    splits = []
+    for values in series:
+        y = np.asarray(values, dtype=np.float64)
+        h = min(horizon, len(y) // 4)
+        if h >= 1:
+            splits.append((y[:-h], y[-h:]))
+    if not splits:
+        raise DataError("smoothing grid search: no series has the 4 observations a hold-out needs")
     if grid is None:
         grid = [round(0.1 * k, 1) for k in range(1, 10)]
     names = TargetSpec(kind=kind, m=m).param_names
@@ -129,12 +136,13 @@ def grid_search_ets(series, m: int, holdout: int, kind: str = "ets",
     for c in grid:
         params = {name: c for name in names}
         try:
-            fc = fixed_ets_forecast(train, params, m, holdout, kind)
-            score = wape(test, fc)
-        except Exception:
+            scores = [wape(test, fixed_ets_forecast(train, params, m, len(test), kind))
+                      for train, test in splits]
+        except NumericError:
             continue
+        score = float(np.mean(scores))
         if best_val is None or score < best_val:
             best_val, best = score, c
     if best is None:
-        raise DataError("grid search failed for every candidate value")
+        raise DataError("smoothing grid search: every candidate value failed a numeric guard")
     return best, {name: best for name in names}

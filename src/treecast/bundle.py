@@ -15,7 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import OlsArModel, fit_ols_ar, fixed_ets_forecast, ols_ar_forecast
+from .baselines import (OlsArModel, fit_ols_ar, fixed_ets_forecast, grid_search_ets,
+                        ols_ar_forecast)
+from .boosting import TreeEnsemble
 from .data import PanelDataset, future_panel
 from .errors import ConfigError, DataError
 from .hypertree import HyperTreeModel
@@ -118,32 +120,11 @@ def train_baseline(ds: PanelDataset, cfg) -> BaselineModel:
             }
         return BaselineModel("ar", cfg.model.p, spec.m, cfg.model.intercept, per_series, None)
     if target in ("ets", "ets_linear"):
-        names = spec.param_names
         if cfg.model.grid_search:
-            grid = [round(0.1 * k, 1) for k in range(1, 10)]
-            best_val, best_c = None, None
-            for c in grid:
-                scores = []
-                for i, s in enumerate(ds.series):
-                    rows = ds.rows_of(i)
-                    vals = ds.y[rows][ds.mask[rows]]
-                    h = min(cfg.eval.horizon, len(vals) // 4)
-                    if h < 1:
-                        continue
-                    from .metrics import wape
-                    try:
-                        fc = fixed_ets_forecast(vals[:-h], {n: c for n in names},
-                                                spec.m, h, target)
-                        scores.append(wape(vals[-h:], fc))
-                    except Exception:
-                        scores.append(float("inf"))
-                score = float(np.mean(scores)) if scores else float("inf")
-                if best_val is None or score < best_val:
-                    best_val, best_c = score, c
-            value = best_c
+            series = [ds.y[rows][ds.mask[rows]] for rows in map(ds.rows_of, range(ds.n_series))]
+            _, params = grid_search_ets(series, spec.m, cfg.eval.horizon, target)
         else:
-            value = cfg.model.fixed_value
-        params = {n: value for n in names}
+            params = {n: cfg.model.fixed_value for n in spec.param_names}
         return BaselineModel(target, 0, spec.m, False, {}, params)
     raise ConfigError(f"baseline family does not support target {target!r}")
 
@@ -226,14 +207,28 @@ def load_bundle(path):
         cls = _FAMILIES.get(manifest["family"])
         if cls is None:
             raise DataError(f"unknown bundle family {manifest['family']!r}")
+        files = manifest.get("ensemble_files", [])
         full = dict(manifest)
-        full["ensembles"] = [_read_json(path / fname)
-                             for fname in manifest.get("ensemble_files", [])]
+        full["ensembles"] = [_read_json(path / fname) for fname in files]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise _field_error(mpath, exc)
+    try:
         model = cls.from_dict(full)
-    except KeyError as exc:
-        raise DataError(f"{mpath}: missing field {exc}")
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{mpath}: invalid field: {exc}")
+    except (KeyError, TypeError, ValueError) as exc:
+        # the model decodes its ensembles itself; decode each file again to
+        # name the one at fault, else the fault is in the manifest
+        for fname, ens in zip(files, full["ensembles"]):
+            try:
+                TreeEnsemble.from_dict(ens)
+            except (KeyError, TypeError, ValueError) as ens_exc:
+                raise _field_error(path / fname, ens_exc)
+        raise _field_error(mpath, exc)
     code_maps = _read_json(path / "code_map.json")
     return model, manifest, code_maps
+
+
+def _field_error(path: Path, exc: Exception) -> DataError:
+    if isinstance(exc, KeyError):
+        return DataError(f"{path}: missing field {exc}")
+    return DataError(f"{path}: invalid field: {exc}")
 

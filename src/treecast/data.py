@@ -2,8 +2,10 @@
 
 A :class:`PanelDataset` keeps one row per observation, sorted by
 (series_id, timestamp), with flat numpy arrays for the target, calendar
-features, lag columns, categorical codes and the padding mask.  All
-operations are pure: they return a new dataset and never mutate their
+features, lag columns, categorical codes and the padding mask.  Every panel
+is made by :meth:`PanelDataset.build`, and every panel derived from another
+(padded, shortened or future rows) by one row gather, :meth:`PanelDataset.take`.
+All operations are pure: they return a new dataset and never mutate their
 input, so they are safe to call from multiple threads.
 """
 
@@ -30,34 +32,33 @@ RESERVED_CODE = -1  # categorical code for categories unseen at training time
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """One identified series: strictly increasing dates and aligned values."""
+    """One identified series and its strictly increasing dates."""
 
     series_id: str
     timestamps: tuple
-    values: np.ndarray
 
     def __len__(self):
-        return len(self.values)
+        return len(self.timestamps)
 
 
 @dataclass(frozen=True)
 class PanelDataset:
     """Aligned panel of series with per-observation feature rows.
 
-    Rows of one series are contiguous.  ``mask`` is False exactly on rows
-    appended by :func:`pad_for_ets`; masked rows never contribute to any
-    loss, gradient or metric.  ``orig_len`` records the pre-padding length
-    of each series, which is where forecasts start.
+    Rows of one series are contiguous, in the order of ``series``.  ``mask``
+    is False exactly on rows appended by :func:`pad_for_ets`; masked rows
+    never contribute to any loss, gradient or metric.  A series' true end,
+    where its forecasts start, is therefore its last unmasked row.
+
+    Build a panel with :meth:`build`; derive one from another with
+    :meth:`take`.
     """
 
     series: tuple
     series_idx: np.ndarray          # (N,) int, position into `series`
     y: np.ndarray                   # (N,) float
     mask: np.ndarray                # (N,) bool, False = padded
-    pad: np.ndarray                 # (N,) bool, True = appended row
-    orig_len: tuple                 # per-series true length
     frequency: str
-    horizon: int = 1
     month: np.ndarray | None = None
     quarter: np.ndarray | None = None
     year: np.ndarray | None = None
@@ -69,6 +70,45 @@ class PanelDataset:
     lags: np.ndarray | None = None               # (N, p) float, NaN where invalid
     lag_valid: np.ndarray | None = None          # (N,) bool
     p: int = 0
+
+    @classmethod
+    def build(cls, series, y, frequency: str, mask=None, cat=None, num=None,
+              code_maps=None) -> "PanelDataset":
+        """Panel over ``series`` whose rows hold ``y`` series after series.
+
+        Derives ``series_idx`` from the series lengths, coerces the dtypes,
+        defaults ``mask`` to all true and attaches the calendar features.
+        """
+        y = np.asarray(y, dtype=np.float64)
+        ds = cls(
+            series=tuple(series),
+            series_idx=np.repeat(np.arange(len(series), dtype=np.int64),
+                                 [len(s) for s in series]),
+            y=y,
+            mask=np.ones(len(y), dtype=bool) if mask is None else np.asarray(mask, dtype=bool),
+            frequency=frequency,
+            cat={c: np.asarray(v, dtype=np.int64) for c, v in (cat or {}).items()},
+            num={c: np.asarray(v, dtype=np.float64) for c, v in (num or {}).items()},
+            code_maps=code_maps or {},
+        )
+        return derive_calendar(ds)
+
+    def take(self, series, rows, y=None, mask=None) -> "PanelDataset":
+        """Panel over ``series`` whose row j copies the cells of row ``rows[j]``.
+
+        ``y`` and ``mask`` are gathered from ``rows`` too unless given.  Lag
+        columns are not carried over; calendar features are derived afresh
+        from the new timestamps.
+        """
+        return PanelDataset.build(
+            series,
+            self.y[rows] if y is None else y,
+            self.frequency,
+            mask=self.mask[rows] if mask is None else mask,
+            cat={c: v[rows] for c, v in self.cat.items()},
+            num={c: v[rows] for c, v in self.num.items()},
+            code_maps=self.code_maps,
+        )
 
     @property
     def n_rows(self):
@@ -149,34 +189,37 @@ def ingest_csv(path, schema: dict | None = None, code_maps: dict | None = None) 
                 raise DataError(f"row {row_no}: non-numeric target {raw_val!r}")
             if not math.isfinite(val):
                 raise DataError(f"row {row_no}: non-finite target {raw_val!r}")
-            cats = {c: row[col[c]].strip() for c in cat_cols}
-            nums = {}
+            nums = []
             for c in num_cols:
                 try:
-                    nums[c] = float(row[col[c]])
+                    nums.append(float(row[col[c]]))
                 except ValueError:
                     raise DataError(f"row {row_no}: non-numeric value {row[col[c]]!r} in column {c!r}")
-                if not math.isfinite(nums[c]):
+                if not math.isfinite(nums[-1]):
                     raise DataError(f"row {row_no}: non-finite value {row[col[c]]!r} in column {c!r}")
-            records.append((sid, ts, val, cats, nums))
+            records.append((sid, ts, val, *(row[col[c]].strip() for c in cat_cols), *nums))
 
     if not records:
         raise DataError(f"{path}: no data rows")
 
     records.sort(key=lambda r: (r[0], r[1]))
-    seen = set()
-    for sid, ts, *_ in records:
-        key = (sid, ts)
-        if key in seen:
-            raise DataError(f"duplicate (series_id, timestamp) key: ({sid!r}, {ts.isoformat()})")
-        seen.add(key)
+    # one tuple per column: series_id, timestamp, value, categoricals, numerics
+    columns = list(zip(*records))
+    cat_columns = columns[3:3 + len(cat_cols)]
+    num_columns = columns[3 + len(cat_cols):]
+    sids, stamps = (np.array(values, dtype=object) for values in columns[:2])
+    same_series = sids[1:] == sids[:-1]
+    dup = np.flatnonzero(same_series & (stamps[1:] == stamps[:-1]))
+    if dup.size:
+        sid, ts = records[dup[0] + 1][:2]
+        raise DataError(f"duplicate (series_id, timestamp) key: ({sid!r}, {ts.isoformat()})")
+    bounds = [0, *(np.flatnonzero(~same_series) + 1), len(records)]
+    series = tuple(TimeSeries(sids[a], columns[1][a:b]) for a, b in zip(bounds, bounds[1:]))
 
     if code_maps is None:
         # frozen ordinal code maps; codes are dense and start at 0
-        code_maps = {}
-        for c in cat_cols:
-            levels = sorted({r[3][c] for r in records})
-            code_maps[c] = {lev: i for i, lev in enumerate(levels)}
+        code_maps = {c: {lev: i for i, lev in enumerate(sorted(set(values)))}
+                     for c, values in zip(cat_cols, cat_columns)}
 
     def encode(col, value):
         code = code_maps.get(col, {}).get(value)
@@ -185,43 +228,14 @@ def ingest_csv(path, schema: dict | None = None, code_maps: dict | None = None) 
             return RESERVED_CODE
         return code
 
-    series = []
-    series_idx = []
-    y = []
-    cat = {c: [] for c in cat_cols}
-    num = {c: [] for c in num_cols}
-    sid_order = []
-    for sid, ts, val, cats, nums in records:
-        if not sid_order or sid_order[-1] != sid:
-            sid_order.append(sid)
-            series.append([sid, [], []])
-        series[-1][1].append(ts)
-        series[-1][2].append(val)
-        series_idx.append(len(series) - 1)
-        y.append(val)
-        for c in cat_cols:
-            cat[c].append(encode(c, cats[c]))
-        for c in num_cols:
-            num[c].append(nums[c])
-
-    series = tuple(
-        TimeSeries(sid, tuple(ts_list), np.asarray(vals, dtype=np.float64))
-        for sid, ts_list, vals in series
+    cat = {}
+    for c, values in zip(cat_cols, cat_columns):
+        levels, inverse = np.unique(np.array(values, dtype=object), return_inverse=True)
+        cat[c] = np.array([encode(c, lev) for lev in levels], dtype=np.int64)[inverse]
+    return PanelDataset.build(
+        series, columns[2], schema.get("frequency") or _infer_frequency(series),
+        cat=cat, num=dict(zip(num_cols, num_columns)), code_maps=code_maps,
     )
-    n = len(y)
-    ds = PanelDataset(
-        series=series,
-        series_idx=np.asarray(series_idx, dtype=np.int64),
-        y=np.asarray(y, dtype=np.float64),
-        mask=np.ones(n, dtype=bool),
-        pad=np.zeros(n, dtype=bool),
-        orig_len=tuple(len(s) for s in series),
-        frequency=schema.get("frequency") or _infer_frequency(series),
-        cat={c: np.asarray(v, dtype=np.int64) for c, v in cat.items()},
-        num={c: np.asarray(v, dtype=np.float64) for c, v in num.items()},
-        code_maps=code_maps,
-    )
-    return derive_calendar(ds)
 
 
 def _infer_frequency(series) -> str:
@@ -310,56 +324,25 @@ def pad_for_ets(ds: PanelDataset) -> PanelDataset:
     """Equalize series lengths by back-appending each series' own tail.
 
     A series short of the maximum length by k rows gets a copy of its last
-    min(k, len) values appended (tiled if necessary).  Appended rows carry
-    pad=True and mask=False, and an ``is_pad`` numeric feature marks them.
-    Calendar features and lag columns are recomputed for the new rows.
+    min(k, len) values appended (tiled if necessary).  Appended rows are
+    masked, inherit the covariates of the series' last row, and an
+    ``is_pad`` numeric feature marks them.  Calendar features and lag
+    columns are recomputed for the new rows.
     """
     max_len = max(len(s) for s in ds.series)
-    new_series = []
-    for s in ds.series:
-        k = max_len - len(s)
-        if k == 0:
-            new_series.append(s)
-            continue
-        seg = s.values[-min(k, len(s)):]
-        reps = int(np.ceil(k / len(seg)))
-        appended = np.tile(seg, reps)[:k]
-        new_ts = tuple(s.timestamps) + tuple(extend_timestamps(s.timestamps[-1], ds.frequency, k))
-        new_series.append(TimeSeries(s.series_id, new_ts, np.concatenate([s.values, appended])))
-
-    series_idx, y, mask, pad = [], [], [], []
-    cat = {c: [] for c in ds.cat}
-    num = {c: [] for c in ds.num}
-    for i, s in enumerate(new_series):
-        old_rows = ds.rows_of(i)
-        n_old = len(old_rows)
-        for t in range(len(s)):
-            series_idx.append(i)
-            y.append(s.values[t])
-            is_new = t >= n_old
-            mask.append(bool(ds.mask[old_rows[t]]) if not is_new else False)
-            pad.append(bool(ds.pad[old_rows[t]]) if not is_new else True)
-            src = old_rows[min(t, n_old - 1)]  # padded rows inherit the last row's covariates
-            for c in ds.cat:
-                cat[c].append(ds.cat[c][src])
-            for c in ds.num:
-                num[c].append(ds.num[c][src])
-
-    out = PanelDataset(
-        series=tuple(new_series),
-        series_idx=np.asarray(series_idx, dtype=np.int64),
-        y=np.asarray(y, dtype=np.float64),
-        mask=np.asarray(mask, dtype=bool),
-        pad=np.asarray(pad, dtype=bool),
-        orig_len=ds.orig_len,
-        frequency=ds.frequency,
-        horizon=ds.horizon,
-        cat={c: np.asarray(v, dtype=np.int64) for c, v in cat.items()},
-        num={c: np.asarray(v, dtype=np.float64) for c, v in num.items()},
-        code_maps=ds.code_maps,
-    )
-    out = derive_calendar(out)
-    out = replace(out, num={**out.num, "is_pad": out.pad.astype(np.float64)})
+    series, y_rows, cov_rows, appended = [], [], [], []
+    for i, s in enumerate(ds.series):
+        rows = ds.rows_of(i)
+        n, k = len(rows), max_len - len(rows)
+        series.append(TimeSeries(
+            s.series_id, s.timestamps + tuple(extend_timestamps(s.timestamps[-1], ds.frequency, k))))
+        y_rows.append(np.concatenate([rows, np.resize(rows[n - min(k, n):], k)]))
+        cov_rows.append(rows[np.minimum(np.arange(max_len), n - 1)])
+        appended.append(np.arange(max_len) >= n)
+    cov_rows, appended = np.concatenate(cov_rows), np.concatenate(appended)
+    out = ds.take(series, cov_rows, y=ds.y[np.concatenate(y_rows)],
+                  mask=ds.mask[cov_rows] & ~appended)
+    out = replace(out, num={**out.num, "is_pad": appended.astype(np.float64)})
     if ds.p:
         out = build_lags(out, ds.p)
     return out
@@ -371,33 +354,16 @@ def drop_last(ds: PanelDataset, h: int) -> PanelDataset:
     Only valid before padding or lag construction; calendar features are
     re-derived for the shortened panel.
     """
-    if ds.pad.any() or ds.lags is not None:
+    if not ds.mask.all() or ds.lags is not None:
         raise ValueError("drop_last expects a raw (unpadded, lag-free) panel")
-    keep_rows = []
-    new_series = []
+    series, keep = [], []
     for i, s in enumerate(ds.series):
         rows = ds.rows_of(i)
         if len(rows) <= h:
             raise DataError(f"series {s.series_id!r} shorter than hold-out {h}")
-        keep_rows.extend(rows[:-h])
-        new_series.append(
-            TimeSeries(s.series_id, s.timestamps[:-h], s.values[:-h].copy())
-        )
-    idx = np.asarray(keep_rows, dtype=np.int64)
-    out = PanelDataset(
-        series=tuple(new_series),
-        series_idx=ds.series_idx[idx],
-        y=ds.y[idx].copy(),
-        mask=ds.mask[idx].copy(),
-        pad=ds.pad[idx].copy(),
-        orig_len=tuple(len(s) for s in new_series),
-        frequency=ds.frequency,
-        horizon=ds.horizon,
-        cat={c: v[idx].copy() for c, v in ds.cat.items()},
-        num={c: v[idx].copy() for c, v in ds.num.items()},
-        code_maps=ds.code_maps,
-    )
-    return derive_calendar(out)
+        series.append(TimeSeries(s.series_id, s.timestamps[:-h]))
+        keep.append(rows[:-h])
+    return ds.take(series, np.concatenate(keep))
 
 
 def _acf1(x: np.ndarray) -> float:
@@ -473,47 +439,25 @@ def attach_summary(ds: PanelDataset) -> PanelDataset:
 def future_panel(ds: PanelDataset, h: int) -> PanelDataset:
     """Feature rows for the h periods following each series' true end.
 
-    Timestamps continue from the last unpadded observation, time_index keeps
-    counting, and categorical/numeric covariates carry over from the last
-    unmasked row (is_pad resets to 0).  Target values are placeholders.
+    The true end is the series' last unmasked row.  Timestamps continue
+    from it, time_index keeps counting, and categorical/numeric covariates
+    carry over from it (is_pad resets to 0).  Target values are placeholders.
     """
     if h < 1:
         raise ValueError("horizon must be >= 1")
-    new_series = []
-    series_idx, tindex = [], []
-    cat = {c: [] for c in ds.cat}
-    num = {c: [] for c in ds.num}
+    series, src, tindex = [], [], []
     for i, s in enumerate(ds.series):
-        n_true = ds.orig_len[i]
-        last_ts = s.timestamps[n_true - 1]
-        ts_future = extend_timestamps(last_ts, ds.frequency, h)
-        new_series.append(TimeSeries(s.series_id, tuple(ts_future), np.zeros(h)))
         rows = ds.rows_of(i)
-        src = rows[ds.mask[rows]][-1]
-        for t in range(h):
-            series_idx.append(i)
-            tindex.append(n_true + t)
-            for c in ds.cat:
-                cat[c].append(ds.cat[c][src])
-            for c in ds.num:
-                num[c].append(0.0 if c == "is_pad" else ds.num[c][src])
-
-    n = len(series_idx)
-    out = PanelDataset(
-        series=tuple(new_series),
-        series_idx=np.asarray(series_idx, dtype=np.int64),
-        y=np.zeros(n),
-        mask=np.ones(n, dtype=bool),
-        pad=np.zeros(n, dtype=bool),
-        orig_len=tuple(h for _ in ds.series),
-        frequency=ds.frequency,
-        horizon=ds.horizon,
-        cat={c: np.asarray(v, dtype=np.int64) for c, v in cat.items()},
-        num={c: np.asarray(v, dtype=np.float64) for c, v in num.items()},
-        code_maps=ds.code_maps,
-    )
-    out = derive_calendar(out)
-    return replace(out, time_index=np.asarray(tindex, dtype=np.int64))
+        end = np.flatnonzero(ds.mask[rows])[-1]
+        series.append(TimeSeries(
+            s.series_id, tuple(extend_timestamps(s.timestamps[end], ds.frequency, h))))
+        src.append(np.full(h, rows[end]))
+        tindex.append(np.arange(end + 1, end + 1 + h))
+    src = np.concatenate(src)
+    out = ds.take(series, src, y=np.zeros(len(src)))
+    if "is_pad" in out.num:
+        out = replace(out, num={**out.num, "is_pad": np.zeros(len(src))})
+    return replace(out, time_index=np.concatenate(tindex))
 
 
 @dataclass(frozen=True)

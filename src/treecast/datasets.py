@@ -6,7 +6,7 @@ from importlib import resources
 
 import numpy as np
 
-from .data import PanelDataset, TimeSeries, derive_calendar, extend_timestamps
+from .data import PanelDataset, TimeSeries, extend_timestamps
 
 
 def bundled_path(name: str) -> str:
@@ -31,9 +31,7 @@ def synthetic_panel(n_series: int, length: int, seed: int = 0,
     stamps = [start] + extend_timestamps(start, frequency, length - 1)
     period = {"monthly": 12, "daily": 7, "yearly": 4}[frequency]
 
-    series = []
-    series_idx, y = [], []
-    group, exposure = [], []
+    series, values, exposure = [], [], []
     for i in range(n_series):
         base = rng.uniform(50, 150)
         slope = rng.uniform(-0.2, 0.5)
@@ -42,24 +40,13 @@ def synthetic_panel(n_series: int, length: int, seed: int = 0,
         noise = rng.normal(0, 2.0, length)
         t = np.arange(length)
         vals = base + slope * t + amp * np.sin(2 * np.pi * t / period + phase) + noise
-        vals = np.maximum(vals, 1.0)
-        series.append(TimeSeries(f"syn_{i:03d}", tuple(stamps), vals))
-        series_idx.extend([i] * length)
-        y.extend(vals)
-        group.extend([i % 4] * length)
-        exposure.extend(list(rng.uniform(0.5, 1.5, length)))
+        values.append(np.maximum(vals, 1.0))
+        series.append(TimeSeries(f"syn_{i:03d}", tuple(stamps)))
+        exposure.append(rng.uniform(0.5, 1.5, length))
 
-    n = len(y)
-    ds = PanelDataset(
-        series=tuple(series),
-        series_idx=np.asarray(series_idx, dtype=np.int64),
-        y=np.asarray(y, dtype=np.float64),
-        mask=np.ones(n, dtype=bool),
-        pad=np.zeros(n, dtype=bool),
-        orig_len=tuple(length for _ in range(n_series)),
-        frequency=frequency,
-        cat={"group": np.asarray(group, dtype=np.int64)},
-        num={"exposure": np.asarray(exposure, dtype=np.float64)},
+    return PanelDataset.build(
+        series, np.concatenate(values), frequency,
+        cat={"group": np.repeat(np.arange(n_series) % 4, length)},
+        num={"exposure": np.concatenate(exposure)},
         code_maps={"group": {str(v): v for v in range(4)}},
     )
-    return derive_calendar(ds)

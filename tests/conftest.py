@@ -3,8 +3,8 @@ from datetime import date
 import numpy as np
 import pytest
 
-from treecast.data import (PanelDataset, TimeSeries, build_lags, derive_calendar,
-                           drop_last, extend_timestamps, ingest_csv)
+from treecast.data import (PanelDataset, TimeSeries, build_lags, drop_last, extend_timestamps,
+                           ingest_csv)
 from treecast.datasets import air_passengers_path
 from treecast.hypertree import BoostConfig, FeatureRecipe
 from treecast.hypertree import train as train_hypertree
@@ -13,27 +13,12 @@ from treecast.targets import TargetSpec
 
 def make_panel(series_values, frequency="monthly", start=date(2000, 1, 1), cat=None, num=None):
     """Panel from {series_id: values}; optional flat cat/num column arrays."""
-    series = []
-    series_idx, y = [], []
-    for i, (sid, vals) in enumerate(series_values.items()):
-        vals = np.asarray(vals, dtype=np.float64)
-        stamps = [start] + extend_timestamps(start, frequency, len(vals) - 1)
-        series.append(TimeSeries(sid, tuple(stamps), vals))
-        series_idx.extend([i] * len(vals))
-        y.extend(vals)
-    n = len(y)
-    ds = PanelDataset(
-        series=tuple(series),
-        series_idx=np.asarray(series_idx, dtype=np.int64),
-        y=np.asarray(y, dtype=np.float64),
-        mask=np.ones(n, dtype=bool),
-        pad=np.zeros(n, dtype=bool),
-        orig_len=tuple(len(s) for s in series),
-        frequency=frequency,
-        cat={k: np.asarray(v, dtype=np.int64) for k, v in (cat or {}).items()},
-        num={k: np.asarray(v, dtype=np.float64) for k, v in (num or {}).items()},
-    )
-    return derive_calendar(ds)
+    series = [
+        TimeSeries(sid, tuple([start] + extend_timestamps(start, frequency, len(vals) - 1)))
+        for sid, vals in series_values.items()
+    ]
+    y = np.concatenate([np.asarray(v, dtype=np.float64) for v in series_values.values()])
+    return PanelDataset.build(series, y, frequency, cat=cat, num=num)
 
 
 def ar2_sim(n=300, phi1=0.55, phi2=-0.25, seed=2024, burn=50):
@@ -58,7 +43,7 @@ def air_train(air_full):
 
 @pytest.fixture(scope="session")
 def air_holdout(air_full):
-    return air_full.series[0].values[-12:]
+    return air_full.y[air_full.rows_of(0)][-12:]
 
 
 @pytest.fixture(scope="session")

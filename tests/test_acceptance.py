@@ -173,7 +173,7 @@ def test_criterion_03_ols_equivalence():
 def test_criterion_04_ets_oracle(air_full):
     from treecast.targets import ets_filter
 
-    y = air_full.series[0].values
+    y = air_full.y[air_full.rows_of(0)]
     m = 12
     spec = TargetSpec(kind="ets", m=m)
     init = ets_init(y, m, True)
@@ -206,7 +206,7 @@ def test_criterion_05_airline_end_to_end(air_train, air_holdout, air_ar_model, a
     pred, _ = forecast(model, air_train, 12)["AirPassengers"]
     model_mape = mape(air_holdout, pred)
 
-    history = air_full.series[0].values[:-12]
+    history = air_full.y[air_full.rows_of(0)][:-12]
     ols = fit_ols_ar(history, 12, intercept=False)
     baseline = mape(air_holdout, ols_ar_forecast(ols, history, 12))
     elapsed = time.perf_counter() - t0
@@ -251,7 +251,7 @@ def test_criterion_08_decomposition(air_full):
     fs = recipe.build(air_full)
     _, values = model.predict_parameters(fs.X)
     trend, seas, _ = stl_components(values, air_full.time_index, spec)
-    ctrend, cseas, _ = classical_decompose(air_full.series[0].values, 12)
+    ctrend, cseas, _ = classical_decompose(air_full.y[air_full.rows_of(0)], 12)
     ok = ~np.isnan(ctrend)
     ct = float(np.corrcoef(trend[ok], ctrend[ok])[0, 1])
     cs = float(np.corrcoef(seas[ok], cseas[ok])[0, 1])

@@ -83,7 +83,7 @@ class TestClassicalDecompose:
         assert np.allclose((trend + seasonal + remainder)[ok], y[ok], atol=1e-10)
 
     def test_air_interior_points(self, air_full):
-        trend, _, _ = classical_decompose(air_full.series[0].values, 12)
+        trend, _, _ = classical_decompose(air_full.y[air_full.rows_of(0)], 12)
         assert int((~np.isnan(trend)).sum()) == 132
 
     def test_too_short(self):
@@ -93,7 +93,7 @@ class TestClassicalDecompose:
 
 class TestFixedEts:
     def test_matches_target_code_path(self, air_full):
-        y = air_full.series[0].values[:60]
+        y = air_full.y[air_full.rows_of(0)][:60]
         params = {"alpha": 0.3, "beta": 0.3, "gamma": 0.3, "phi": 0.3}
         got = fixed_ets_forecast(y, params, 12, 6)
         spec = TargetSpec(kind="ets", m=12)
@@ -115,7 +115,7 @@ class TestFixedEts:
     def test_grid_search_is_argmin_of_bruteforce(self):
         t = np.arange(72)
         y = 100 + t + 20 * np.sin(2 * np.pi * t / 12)
-        best, params = grid_search_ets(y, 12, holdout=12)
+        best, params = grid_search_ets([y], 12, horizon=12)
         scores = {}
         for c in [round(0.1 * k, 1) for k in range(1, 10)]:
             p = {k_: c for k_ in ("alpha", "beta", "gamma", "phi")}

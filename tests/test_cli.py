@@ -102,6 +102,26 @@ class TestTrain:
         assert "AirPassengers" in manifest["per_series"]
 
 
+class TestBaselineGridSearch:
+    config = str(Path(__file__).resolve().parent.parent / "configs/baseline_ets_reference.yaml")
+
+    def test_airline_picks_0_4(self, runner, tmp_path):
+        res = runner.invoke(main, ["train", self.config, "--set", "model.grid_search=true",
+                                   "--out", str(tmp_path / "bl")])
+        assert res.exit_code == 0, res.output
+        params = json.loads((tmp_path / "bl" / "manifest.json").read_text())["params"]
+        assert params == {"alpha": 0.4, "beta": 0.4, "gamma": 0.4, "phi": 0.4}
+
+    def test_no_scored_candidate_exit_3(self, runner, tmp_path):
+        data = tmp_path / "tiny.csv"
+        data.write_text("series_id,timestamp,value\n" + "".join(
+            f"{sid},2000-0{t + 1}-01,{v + t}\n" for sid, v in (("a", 1), ("b", 4)) for t in range(3)))
+        res = runner.invoke(main, ["train", self.config, "--set", "model.grid_search=true",
+                                   "--set", f"data.path={data}", "--out", str(tmp_path / "bl")])
+        assert res.exit_code == 3, res.output
+        assert "grid search" in res.output
+
+
 def panel_config(tmp_path, exposure_cell):
     """Two monthly series with a numeric feature; one training cell is replaceable."""
     rows = ["series_id,timestamp,value,exposure"]
@@ -193,6 +213,19 @@ def _remove_ensemble(bundle):
     return "ensemble_00_ar_1.json", "missing"
 
 
+def _drop_trees(bundle):
+    target = bundle / "ensemble_00_ar_1.json"
+    ens = json.loads(target.read_text())
+    del ens["trees"]
+    target.write_text(json.dumps(ens))
+    return "ensemble_00_ar_1.json", "missing field 'trees'"
+
+
+def _ensemble_not_object(bundle):
+    (bundle / "ensemble_00_ar_1.json").write_text("[1, 2]")
+    return "ensemble_00_ar_1.json", "invalid field"
+
+
 def _unknown_kind(bundle):
     manifest = json.loads((bundle / "manifest.json").read_text())
     manifest["spec"]["kind"] = "arima"
@@ -216,7 +249,8 @@ def trained_bundle(tmp_path_factory):
 
 class TestBundleErrors:
     @pytest.mark.parametrize("corrupt", [_drop_family, _truncate_ensemble, _remove_ensemble,
-                                         _unknown_kind, _remove_code_map])
+                                         _drop_trees, _ensemble_not_object, _unknown_kind,
+                                         _remove_code_map])
     def test_malformed_bundle_exit_3(self, runner, tmp_path, trained_bundle, corrupt):
         bundle = tmp_path / "bundle"
         shutil.copytree(trained_bundle, bundle)

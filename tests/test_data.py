@@ -170,7 +170,7 @@ class TestPadding:
         a_rows = ds.rows_of(0)
         assert list(ds.y[a_rows][-2:]) == [9.0, 10.0]  # copies of rows 8-9
         assert not ds.mask[a_rows[-2:]].any()
-        assert ds.pad[a_rows[-2:]].all()
+        assert ds.num["is_pad"][a_rows[-2:]].all()
 
     def test_equal_lengths_noop_except_flag(self):
         base = make_panel({"a": np.arange(6.0) + 1, "b": np.arange(6.0) + 6})

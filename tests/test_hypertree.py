@@ -122,7 +122,7 @@ class TestForecast:
             base, air_recipe, fs.names, fs.kinds,
         )
         out, _ = forecast(model, air_train, 6)["AirPassengers"]
-        last = air_train.series[0].values[-1]
+        last = air_train.y[air_train.rows_of(0)][-1]
         assert np.array_equal(out, np.full(6, last))
 
     def test_beats_reasonable_error_on_airp(self, air_ar_model, air_train, air_holdout):

@@ -39,7 +39,7 @@ class TestFilter:
 
     def test_independent_reference_recursion(self, air_full):
         """Plain-loop oracle written directly from the displayed updates."""
-        y = air_full.series[0].values
+        y = air_full.y[air_full.rows_of(0)]
         m = 12
         spec = spec_ets(m=m)
         init = ets_init(y, m, True)
