@@ -10,9 +10,9 @@ preparation reach a kind only through its class.  A kind supplies
 - ``prepare(ds)``, its own data preparation, and ``time_feature``, whether
   the trees also see the raw time index;
 - ``bind(ds)`` -> (training weight, ``state`` reused by every loss);
-- ``loss(raw, ds, state)``, masked and floored, or with ``per_series``
-  ``series_loss(raw, ds, i, rows, state)`` of series i: both return
-  (loss, g, h, fitted);
+- ``loss(raw, ds, state)`` over the whole panel, masked and floored, or
+  with ``per_series`` ``series_loss(raw, ds, i, rows, state)`` of series
+  i: both return (loss, g, h, fitted);
 - ``fitted_jacobian(ds, weight, state)`` when the fit is row-local, else
   None;
 - ``forecast_state(model, ds)`` once, then ``forecast(values, ds, i,
@@ -26,6 +26,16 @@ trend/Fourier coefficients use the identity link.
 Second derivatives use the Gauss-Newton form 2*(d fitted / d param)^2,
 which is exact for the autoregressive target under squared error and
 positive by construction everywhere else.
+
+The smoothing targets differentiate the innovations state-space form of
+exponential smoothing (Hyndman et al., *Forecasting with Exponential
+Smoothing*, 2008) in reverse mode (Griewank & Walther, *Evaluating
+Derivatives*, 2008): one forward pass over t records the states, and one
+backward pass carries the adjoint lambda and the d x d Gauss-Newton
+matrix W (d = 2 + m) from which every step's gradient and Hessian
+diagonal follow.  Both passes run over every series of the padded panel at
+once, so a series costs O(T m) rather than the O(T^2 P) of forward
+sensitivities; see ``_ets_adjoint``.
 """
 
 from __future__ import annotations
@@ -93,12 +103,8 @@ class TargetSpec:
 
 
 def _sigmoid(x):
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(-np.abs(x))  # never overflows
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 # --------------------------------------------------------------------------
@@ -160,51 +166,110 @@ def ets_init(y: np.ndarray, m: int, seasonal: bool) -> EtsState:
     return EtsState(l0, b0, ring.astype(np.float64))
 
 
+def _ets_forward(target, y, values, mask, inits, series_ids):
+    """Filter every series of a (T, S) grid at once, one step per t.
+
+    ``y`` and ``mask`` are (T, S), ``values`` (T, S, P) and ``inits`` one
+    start state per series.  Each step is the one-step-ahead filter
+
+        fitted_t = (l_{t-1} + phi_t b_{t-1}) * s_{t-m},
+
+    then the level/trend/seasonal update, in the order of the single-series
+    recursion so every state is bit-identical to it.  Masked steps freeze
+    the state.  Returns (level, trend, ring, v, s): ``level``/``trend``
+    (T+1, S) hold the state before each step and the end state in row T;
+    row t of ``ring`` (T+m, S) is the seasonal value step t reads (slot
+    t % m) and row t+m the value it leaves there, so rows T..T+m-1 are the
+    end ring; the linear variant keeps no ring.  ``v`` = level + phi *
+    trend and ``s`` (1 for the linear variant) are each step's factors of
+    fitted = v * s.
+
+    The parameters' domain is checked first, the positivity guard on the
+    recorded states after the loop: it raises ``NumericError`` at the
+    earliest failing step, naming the lowest failing series.  Steps after a
+    failure run on garbage, hence the silenced floating-point warnings.
+    """
+    target.check_domain(values)
+    T, S = y.shape
+    seasonal, m = target.seasonal, target.m
+    a, b, gmm, phi = target.columns(values)
+    oma, ombphi = 1.0 - a, (1.0 - b) * phi
+    level, trend = np.empty((T + 1, S)), np.empty((T + 1, S))
+    level[0] = [st.level for st in inits]
+    trend[0] = [st.trend for st in inits]
+    if seasonal:
+        ring = np.empty((T + m, S))
+        ring[:m] = np.array([st.ring for st in inits], dtype=np.float64).T
+        gy, omg = gmm * y, 1.0 - gmm
+    else:
+        ring, ay = None, a * y
+    active, full, off = mask.any(axis=1), mask.all(axis=1), ~mask
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for t in range(T):
+            lv, tr = level[t], trend[t]
+            if not active[t]:
+                level[t + 1], trend[t + 1] = lv, tr
+                if seasonal:
+                    ring[t + m] = ring[t]
+                continue
+            v = lv + phi[t] * tr
+            if seasonal:
+                s = ring[t]
+                nl = np.add(a[t] * (y[t] / s), oma[t] * v, out=level[t + 1])
+                np.add(gy[t] / v, omg[t] * s, out=ring[t + m])
+            else:
+                nl = np.add(ay[t], oma[t] * v, out=level[t + 1])
+            np.add(b[t] * (nl - lv), ombphi[t] * tr, out=trend[t + 1])
+            if not full[t]:
+                np.copyto(level[t + 1], lv, where=off[t])
+                np.copyto(trend[t + 1], tr, where=off[t])
+                if seasonal:
+                    np.copyto(ring[t + m], s, where=off[t])
+    v = level[:T] + phi * trend[:T]
+    s = ring[:T] if seasonal else np.ones_like(v)
+    if seasonal:
+        bad = mask & ((v <= GUARD_EPS) | (s <= GUARD_EPS))
+        if bad.any():
+            t, i = np.argwhere(bad)[0]
+            raise NumericError(
+                f"series {series_ids[i]!r}: non-positive smoothing state at step {t} "
+                f"(level+phi*trend={v[t, i]:.3g}, seasonal={s[t, i]:.3g})"
+            )
+    return level, trend, ring, v, s
+
+
+def _ets_end_states(target, mask, level, trend, ring):
+    """Each series' end state; its ring oldest-first relative to the
+    series' last unmasked step."""
+    T, S = mask.shape
+    m = target.m
+    ends = []
+    for i in range(S):
+        on = np.nonzero(mask[:, i])[0]
+        t_last = int(on[-1]) + 1 if len(on) else 0
+        if target.seasonal:
+            # slot q ends in ring row T + (q - T) % m
+            out = ring[T + (t_last + np.arange(m) - T) % m, i].copy()
+        else:
+            out = np.ones(1)
+        ends.append(EtsState(float(level[T, i]), float(trend[T, i]), out))
+    return ends
+
+
 def ets_filter(y, values, spec: TargetSpec, init: EtsState, mask=None, series_id=""):
-    """One-step-ahead filter.
+    """One-step-ahead filter of one series: the one-series call of the
+    panel filter the smoothing target runs.
 
     fitted_t = (l_{t-1} + phi_t b_{t-1}) * s_{t-m}, then level/trend/seasonal
     update.  Padded steps (mask False) freeze the state and produce fitted 0.
     Returns (fitted, final EtsState).
     """
-    y = np.asarray(y, dtype=np.float64)
-    T = len(y)
-    values = np.asarray(values, dtype=np.float64)
-    target = spec.target
-    target.check_domain(values)
-    if mask is None:
-        mask = np.ones(T, dtype=bool)
-    seasonal, m = target.seasonal, target.m
-    a, b_, gmm, phi = target.columns(values)
-
-    level, trend = init.level, init.trend
-    ring = init.ring.astype(np.float64).copy()
-    fitted = np.zeros(T)
-    for t in range(T):
-        if not mask[t]:
-            continue
-        slot = t % m
-        s_m = ring[slot] if seasonal else 1.0
-        v = level + phi[t] * trend
-        if seasonal:
-            if v <= GUARD_EPS or s_m <= GUARD_EPS:
-                raise NumericError(
-                    f"series {series_id!r}: non-positive smoothing state at step {t} "
-                    f"(level+phi*trend={v:.3g}, seasonal={s_m:.3g})"
-                )
-            fitted[t] = v * s_m
-            new_level = a[t] * (y[t] / s_m) + (1.0 - a[t]) * v
-            new_trend = b_[t] * (new_level - level) + (1.0 - b_[t]) * phi[t] * trend
-            ring[slot] = gmm[t] * y[t] / v + (1.0 - gmm[t]) * s_m
-        else:
-            fitted[t] = v
-            new_level = a[t] * y[t] + (1.0 - a[t]) * v
-            new_trend = b_[t] * (new_level - level) + (1.0 - b_[t]) * trend
-        level, trend = new_level, new_trend
-    # ring re-ordered oldest-first relative to the last unmasked step
-    t_last = int(np.nonzero(mask)[0][-1]) + 1 if mask.any() else 0
-    order = (t_last + np.arange(m)) % m
-    return fitted, EtsState(level, trend, ring[order])
+    y = np.asarray(y, dtype=np.float64)[:, None]
+    values = np.asarray(values, dtype=np.float64)[:, None, :]
+    mask = np.ones(y.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)[:, None]
+    level, trend, ring, v, s = _ets_forward(spec.target, y, values, mask, [init], [series_id])
+    fitted = np.where(mask, v * s, 0.0)[:, 0]
+    return fitted, _ets_end_states(spec.target, mask, level, trend, ring)[0]
 
 
 def ets_forecast(state: EtsState, phi_future, h: int, spec: TargetSpec) -> np.ndarray:
@@ -230,83 +295,129 @@ def ets_forecast(state: EtsState, phi_future, h: int, spec: TargetSpec) -> np.nd
     return out
 
 
-def ets_derivatives(y, raw, spec: TargetSpec, init: EtsState, mask=None, series_id=""):
-    """Loss, gradient and Gauss-Newton Hessian w.r.t. the raw parameters.
+def _ets_adjoint(target, y, mask, values, slope, level, trend, v, s):
+    """Loss, gradient and Gauss-Newton Hessian over a (T, S) grid from the
+    states ``_ets_forward`` recorded.
 
-    Forward sensitivity recursion: alongside (level, trend, ring) we carry
-    their Jacobians against every (time step, parameter) pair, then chain
-    through the sigmoid links.  Cost is O(T^2 P) per series.
-    Returns (loss, g, h, fitted) with g/h shaped like ``raw``.
+    The state x = (level, trend, ring) has d = 2 + m entries and step t maps
+    it by x' = A_t x (linearized), where A_t is the identity except a block
+    on I_t = (level, trend, slot t % m).  That block, its derivative B_t
+    against the step's raw parameters and c_t = d fitted_t / d x_I =
+    (s, phi s, v) are built at once for every (t, series).  One backward
+    pass then accumulates, per series,
+
+        lambda <- 2 r_t c_t + A_t^T lambda          (reverse mode)
+        W      <- c_t c_t^T + A_t^T W A_t           (d x d)
+
+    so that, with lambda and W taken after step t,
+
+        g_t = 2 r_t df_t/dtheta_t + B_t^T lambda_I
+        h_t = 2 [(df_t/dtheta_t)^2 + diag(B_t^T W_II B_t)]
+
+    where h is the exact Gauss-Newton diagonal 2 sum_tau (df_tau /
+    dtheta_t)^2.  A step touches only the rows and columns I_t of W, so a
+    series costs O(T m), not the O(T^2 P) of carrying every state's
+    Jacobian forward.  Masked steps use A = I and c = 0.  lambda rides as
+    the last column of W's row block so one product updates both.
+    Returns (loss, g, h, fitted) with g/h (T, S, P), zero on masked cells.
     """
-    y = np.asarray(y, dtype=np.float64)
-    T = len(y)
-    raw = np.asarray(raw, dtype=np.float64)
-    P = raw.shape[1]
-    if mask is None:
-        mask = np.ones(T, dtype=bool)
-    target = spec.target
-    values = target.link(raw)
-    slopes = target.slope(raw)
-    target.check_domain(values)
+    T, S = y.shape
+    P = values.shape[-1]
     seasonal, m = target.seasonal, target.m
-    a, b_, gmm, phi = target.columns(values)
+    n = 3 if seasonal else 2          # the block I_t
+    d = 2 + m if seasonal else 2      # the state
+    a, b, gmm, phi = target.columns(values)
+    lv, tr = level[:T], trend[:T]
+    fitted = np.where(mask, v * s, 0.0)
+    r = np.where(mask, fitted - y, 0.0)
+    off = ~mask
 
-    level, trend = init.level, init.trend
-    ring = init.ring.astype(np.float64).copy()
-    Jl = np.zeros((T, P))
-    Jb = np.zeros((T, P))
-    Jring = np.zeros((m, T, P))
-    fitted = np.zeros(T)
-    g = np.zeros((T, P))
-    h = np.zeros((T, P))
-    loss = 0.0
-
-    for t in range(T):
-        if not mask[t]:
-            continue
-        slot = t % m
-        v = level + phi[t] * trend
-        dv = Jl + phi[t] * Jb
+    oma, omb = 1.0 - a, 1.0 - b
+    A = np.zeros((T, S, n, n))        # rows: new (level, trend, slot); columns: old
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = y / s
+        dtrend = b * oma + omb        # d trend' / d (phi * trend)
+        A[..., 0, 0], A[..., 0, 1] = oma, oma * phi
+        A[..., 1, 0], A[..., 1, 1] = -b * a, dtrend * phi
         if seasonal:
-            dv[t, PHI] += trend * slopes[t, PHI]
-            s_m = ring[slot]
-            if v <= GUARD_EPS or s_m <= GUARD_EPS:
-                raise NumericError(
-                    f"series {series_id!r}: non-positive smoothing state at step {t}"
-                )
-            ds_m = Jring[slot]
-            f = v * s_m
-            df = s_m * dv + v * ds_m
-            u = y[t] / s_m
-            du = -(u / s_m) * ds_m
-            new_Jl = a[t] * du + (1.0 - a[t]) * dv
-            new_Jl[t, ALPHA] += (u - v) * slopes[t, ALPHA]
-            new_level = a[t] * u + (1.0 - a[t]) * v
-            new_Jb = b_[t] * (new_Jl - Jl) + (1.0 - b_[t]) * phi[t] * Jb
-            new_Jb[t, BETA] += (new_level - level - phi[t] * trend) * slopes[t, BETA]
-            new_Jb[t, PHI] += (1.0 - b_[t]) * trend * slopes[t, PHI]
-            new_trend = b_[t] * (new_level - level) + (1.0 - b_[t]) * phi[t] * trend
-            new_Js = (-gmm[t] * y[t] / (v * v)) * dv + (1.0 - gmm[t]) * ds_m
-            new_Js[t, GAMMA] += (y[t] / v - s_m) * slopes[t, GAMMA]
-            ring[slot] = gmm[t] * y[t] / v + (1.0 - gmm[t]) * s_m
-            Jring[slot] = new_Js
-        else:
-            f = v
-            df = dv
-            new_Jl = (1.0 - a[t]) * dv
-            new_Jl[t, ALPHA] += (y[t] - v) * slopes[t, ALPHA]
-            new_level = a[t] * y[t] + (1.0 - a[t]) * v
-            new_Jb = b_[t] * (new_Jl - Jl) + (1.0 - b_[t]) * Jb
-            new_Jb[t, BETA] += (new_level - level - trend) * slopes[t, BETA]
-            new_trend = b_[t] * (new_level - level) + (1.0 - b_[t]) * trend
-        fitted[t] = f
-        r = f - y[t]
-        loss += r * r
-        g += 2.0 * r * df
-        h += 2.0 * df * df
-        level, trend = new_level, new_trend
-        Jl, Jb = new_Jl, new_Jb
-    return loss, g, h, fitted
+            q = -gmm * y / (v * v)    # d slot' / d v
+            A[..., 0, 2] = -a * u / s
+            A[..., 1, 2] = b * A[..., 0, 2]
+            A[..., 2, 0], A[..., 2, 1], A[..., 2, 2] = q, q * phi, 1.0 - gmm
+    A[off] = np.eye(n)
+    c = np.stack([s, phi * s, v][:n], axis=-1)
+    c[off] = 0.0
+    At = A.swapaxes(-1, -2)
+    cc = c[..., :, None] * c[..., None, :]
+    rc2 = 2.0 * r[..., None] * c
+
+    # W (S, d, d) with lambda appended as column d; rec[t] keeps W_II and
+    # lambda_I as they stand after step t, the ones g_t and h_t read
+    Z = np.zeros((S, d, d + 1))
+    rec = np.zeros((T, S, n, n + 1))
+    slots = [np.array([0, 1, 2 + k][:n]) for k in range(m)]
+    with_lam = [np.append(I, d) for I in slots]
+    active = mask.any(axis=1)
+    for t in range(T - 1, -1, -1):
+        if not active[t]:
+            continue
+        I = slots[t % m]
+        rows = Z.take(I, axis=1)
+        rec[t] = rows.take(with_lam[t % m], axis=2)
+        rows = At[t] @ rows
+        rows[:, :, d] += rc2[t]
+        blk = rows.take(I, axis=2) @ A[t]
+        blk += cc[t]
+        rows[:, :, I] = blk
+        Z[:, I] = rows
+        Z[:, :, I] = rows[:, :, :d].transpose(0, 2, 1)
+    del A, At, cc, rc2  # B is built only now, to keep the peak memory down
+
+    B = np.zeros((T, S, n, P))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        B[..., 0, ALPHA] = u - v
+        B[..., 1, ALPHA] = b * (u - v)
+        B[..., 1, BETA] = level[1:] - lv - phi * tr
+        if seasonal:
+            B[..., 0, PHI] = oma * tr
+            B[..., 1, PHI] = dtrend * tr
+            B[..., 2, GAMMA] = y / v - s
+            B[..., 2, PHI] = q * tr
+            df_phi = np.where(mask, s * tr * slope[..., PHI], 0.0)
+        B *= slope[..., None, :]
+    B[off] = 0.0
+
+    W, lam = rec[..., :n], rec[..., n]
+    g = np.einsum("tsnp,tsn->tsp", B, lam)
+    h = np.zeros((T, S, P))  # diag(B^T W B) term by term: W is symmetric
+    for i in range(n):
+        h += W[..., i, i, None] * B[..., i, :] ** 2
+        for j in range(i):
+            h += 2.0 * W[..., i, j, None] * B[..., i, :] * B[..., j, :]
+    if seasonal:
+        g[..., PHI] += 2.0 * r * df_phi
+        h[..., PHI] += df_phi * df_phi
+    h *= 2.0
+    return float(np.sum(r * r)), g, h, fitted
+
+
+def ets_loss_grad(y, raw, spec: TargetSpec, inits, mask=None, series_ids=None):
+    """Loss, gradient and Gauss-Newton Hessian w.r.t. the raw parameters of
+    S equal-length series: ``y`` (S, T), ``raw`` (S, T, P), ``inits`` one
+    start state per series.  One forward and one adjoint pass over t, each
+    vectorized over the series (see ``_ets_adjoint``).
+    Returns (loss, g, h, fitted) with g/h (S, T, P), zero on masked steps.
+    """
+    target = spec.target
+    y = np.asarray(y, dtype=np.float64)
+    S, T = y.shape
+    y = y.T.copy()
+    mask = np.ones((T, S), dtype=bool) if mask is None else np.asarray(mask, dtype=bool).T.copy()
+    ids = [""] * S if series_ids is None else series_ids
+    values, slope = target.link_slope(np.asarray(raw, dtype=np.float64).transpose(1, 0, 2))
+    level, trend, _, v, s = _ets_forward(target, y, values, mask, inits, ids)
+    loss, g, h, fitted = _ets_adjoint(target, y, mask, values, slope, level, trend, v, s)
+    return loss, g.transpose(1, 0, 2), h.transpose(1, 0, 2), fitted.T
 
 
 # --------------------------------------------------------------------------
@@ -391,6 +502,13 @@ def stl_loss_grad(raw, t, y, spec: TargetSpec, mask=None):
 # one class per target kind
 # --------------------------------------------------------------------------
 
+def _masked_floored(weight, loss, g, h, fitted):
+    """g and h zero off the training weight, h floored at HESS_FLOOR on it."""
+    g = np.where(weight[:, None], g, 0.0)
+    h = np.where(weight[:, None], np.maximum(h, HESS_FLOOR), 0.0)
+    return loss, g, h, fitted
+
+
 class Target:
     """The protocol (see the module docstring), with the identity-link
     defaults of the kinds that need nothing else."""
@@ -466,9 +584,9 @@ class ArTarget(Target):
 
 class SmoothingTarget(Target):
     """Damped-trend smoothing with multiplicative seasonality; its state
-    couples the rows of a series, so there is no row-local Jacobian."""
+    couples the rows of a series, so there is no row-local Jacobian.  The
+    whole padded panel is filtered and differentiated at once."""
 
-    per_series = True
     seasonal = True
 
     def __init__(self, spec: TargetSpec):
@@ -483,11 +601,15 @@ class SmoothingTarget(Target):
         return ("alpha", "beta", "gamma", "phi") if self.seasonal else ("alpha", "beta")
 
     def link(self, raw):
-        return SIG_EPS + self._scale * _sigmoid(np.asarray(raw, dtype=np.float64))
+        return self.link_slope(raw)[0]
 
     def slope(self, raw):
+        return self.link_slope(raw)[1]
+
+    def link_slope(self, raw):
+        """(link, slope) from one sigmoid."""
         s = _sigmoid(np.asarray(raw, dtype=np.float64))
-        return self._scale * s * (1.0 - s)
+        return SIG_EPS + self._scale * s, self._scale * s * (1.0 - s)
 
     def base(self, ds):
         # every parameter starts at 0.3 through the link
@@ -500,9 +622,9 @@ class SmoothingTarget(Target):
     def columns(self, values):
         """(alpha, beta, gamma, phi) columns; the linear variant fixes gamma=0, phi=1."""
         if self.seasonal:
-            return values[:, ALPHA], values[:, BETA], values[:, GAMMA], values[:, PHI]
-        n = values.shape[0]
-        return values[:, 0], values[:, 1], np.zeros(n), np.ones(n)
+            return values[..., ALPHA], values[..., BETA], values[..., GAMMA], values[..., PHI]
+        shape = values.shape[:-1]
+        return values[..., 0], values[..., 1], np.zeros(shape), np.ones(shape)
 
     def check_domain(self, values):
         a, b, gmm, phi = self.columns(values)
@@ -512,29 +634,35 @@ class SmoothingTarget(Target):
             raise NumericError("damping factor must lie in (0, 1]")
 
     def bind(self, ds):
-        inits = []  # each series' start state, from its unmasked observations
-        for i in range(ds.n_series):
-            rows = ds.rows_of(i)
-            inits.append(ets_init(ds.y[rows][ds.mask[rows]], self.spec.m, self.seasonal))
-        return ds.mask.copy(), inits
+        """Each series' start state, from its unmasked observations; the
+        padded panel's series share one length."""
+        if len({len(s) for s in ds.series}) > 1:
+            raise ValueError("smoothing needs series of equal length (pad_for_ets)")
+        inits = [ets_init(ds.y[rows][ds.mask[rows]], self.spec.m, self.seasonal)
+                 for rows in map(ds.rows_of, range(ds.n_series))]
+        return ds.mask.copy(), (inits, [s.series_id for s in ds.series])
 
-    def series_loss(self, raw, ds, i, rows, inits):
-        return ets_derivatives(ds.y[rows], raw, self.spec, inits[i],
-                               ds.mask[rows], ds.series[i].series_id)
+    def loss(self, raw, ds, state):
+        inits, ids = state
+        S, P = ds.n_series, raw.shape[1]
+        loss, g, h, fitted = ets_loss_grad(ds.y.reshape(S, -1), raw.reshape(S, -1, P), self.spec,
+                                           inits, ds.mask.reshape(S, -1), ids)
+        return _masked_floored(ds.mask, loss, g.reshape(-1, P), h.reshape(-1, P), fitted.ravel())
 
     def forecast_state(self, model, ds):
-        # the filter replays the training rows to reach each series' end state
+        # one forward pass over the training rows reaches every series' end state
         _, values = model.predict_parameters(model.recipe.build(ds).X)
-        return values, self.bind(ds)[1]
+        inits, ids = self.bind(ds)[1]
+        S = ds.n_series
+        grid = lambda x: x.reshape(S, -1, *x.shape[1:]).swapaxes(0, 1)
+        mask = grid(ds.mask)
+        level, trend, ring, _, _ = _ets_forward(self, grid(ds.y), grid(values), mask, inits, ids)
+        return _ets_end_states(self, mask, level, trend, ring)
 
-    def forecast(self, values, ds, i, t_future, state):
-        values_t, inits = state
-        rows = ds.rows_of(i)
-        _, end = ets_filter(ds.y[rows], values_t[rows], self.spec, inits[i],
-                            ds.mask[rows], ds.series[i].series_id)
+    def forecast(self, values, ds, i, t_future, ends):
         h = len(values)
         phi = values[:, PHI] if self.seasonal else np.ones(h)
-        return ets_forecast(end, phi, h, self.spec)
+        return ets_forecast(ends[i], phi, h, self.spec)
 
 
 class LinearSmoothingTarget(SmoothingTarget):
@@ -612,8 +740,8 @@ class Objective:
     ``evaluate`` maps an (N, P) raw parameter matrix to (loss_sum, g, h,
     fitted); h is Gauss-Newton, floored at HESS_FLOOR on contributing rows
     and exactly zero elsewhere.  Returned arrays may be cached and shared
-    across calls; treat them as read-only.  Per-series recursions are
-    independent.
+    across calls; treat them as read-only.  A kind with ``per_series`` is
+    evaluated one series at a time; every other kind over the whole panel.
     """
 
     def __init__(self, ds, spec: TargetSpec):
@@ -624,12 +752,6 @@ class Objective:
         self.n_weight = int(self.weight.sum())
         if self.n_weight == 0:
             raise NumericError("no unmasked training rows: loss is empty")
-
-    def _final(self, loss, g, h, fitted):
-        w = self.weight
-        g = np.where(w[:, None], g, 0.0)
-        h = np.where(w[:, None], np.maximum(h, HESS_FLOOR), 0.0)
-        return loss, g, h, fitted
 
     def evaluate(self, raw: np.ndarray):
         target, ds = self.target, self.ds
@@ -645,7 +767,7 @@ class Objective:
             g[rows] = gi
             h[rows] = hi
             fitted[rows] = fi
-        return self._final(loss, g, h, fitted)
+        return _masked_floored(self.weight, loss, g, h, fitted)
 
     def local_fitted_jacobian(self, raw: np.ndarray):
         """d fitted_row / d raw_row for targets whose fit is row-local.

@@ -8,7 +8,7 @@ from treecast.data import (PanelDataset, TimeSeries, build_lags, drop_last, exte
 from treecast.datasets import air_passengers_path
 from treecast.hypertree import BoostConfig, FeatureRecipe
 from treecast.hypertree import train as train_hypertree
-from treecast.targets import TargetSpec
+from treecast.targets import TargetSpec, ets_filter, ets_loss_grad
 
 
 def make_panel(series_values, frequency="monthly", start=date(2000, 1, 1), cat=None, num=None):
@@ -19,6 +19,20 @@ def make_panel(series_values, frequency="monthly", start=date(2000, 1, 1), cat=N
     ]
     y = np.concatenate([np.asarray(v, dtype=np.float64) for v in series_values.values()])
     return PanelDataset.build(series, y, frequency, cat=cat, num=num)
+
+
+def ets_one_series(y, raw, spec, init):
+    """The smoothing kernel on one series: (loss, g, h, fitted) shaped like
+    ``y`` and ``raw``."""
+    loss, g, h, fitted = ets_loss_grad(np.asarray(y)[None], np.asarray(raw)[None], spec, [init])
+    return loss, g[0], h[0], fitted[0]
+
+
+def ets_sse(y, raw, spec, init):
+    """Squared error of the smoothing filter on one series: the loss of
+    ``ets_one_series``, bit for bit, from the forward pass alone."""
+    fitted, _ = ets_filter(y, spec.target.link(raw), spec, init)
+    return float(np.sum((fitted - y) ** 2))
 
 
 def ar2_sim(n=300, phi1=0.55, phi2=-0.25, seed=2024, burn=50):

@@ -5,7 +5,8 @@ import pytest
 
 from treecast.baselines import classical_decompose
 from treecast.data import (RESERVED_CODE, attach_summary, build_lags, derive_calendar,
-                           future_panel, ingest_csv, pad_for_ets, summarize_series)
+                           drop_last, future_panel, ingest_csv, pad_for_ets, summarize_series)
+from treecast.datasets import synthetic_panel
 from treecast.errors import DataError
 from treecast.targets import Objective, TargetSpec
 
@@ -240,6 +241,24 @@ class TestSummary:
     def test_too_short_series(self):
         with pytest.raises(DataError, match="too short"):
             summarize_series(make_panel({"a": [1.0]}))
+
+
+class TestDropLast:
+    def test_zero_keeps_every_row(self):
+        ds = synthetic_panel(25, 200)
+        out = drop_last(ds, 0)
+        assert out.n_rows == ds.n_rows == 5000
+        assert [len(s) for s in out.series] == [len(s) for s in ds.series]
+        assert np.array_equal(out.y, ds.y)
+
+    def test_negative_is_error(self):
+        with pytest.raises(ValueError, match="h >= 0"):
+            drop_last(make_panel({"a": np.arange(10.0)}), -1)
+
+    def test_drops_each_series_tail(self):
+        out = drop_last(make_panel({"a": np.arange(10.0), "b": np.arange(12.0) + 50}), 3)
+        assert [len(s) for s in out.series] == [7, 9]
+        assert np.array_equal(out.y, np.concatenate([np.arange(7.0), np.arange(9.0) + 50]))
 
 
 class TestFuturePanel:

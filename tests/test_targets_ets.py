@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from treecast.errors import NumericError
 from treecast.losses import finite_diff_check
-from treecast.targets import (EtsState, TargetSpec, ets_derivatives, ets_filter,
-                              ets_forecast, ets_init)
+from treecast.targets import EtsState, TargetSpec, ets_filter, ets_forecast, ets_init
+
+from conftest import ets_one_series, ets_sse
 
 
 def spec_ets(m=12, damping="power"):
@@ -126,7 +127,7 @@ class TestDerivatives:
         raw = rng.normal(0, 1, (24, 4))
         raw[:, 2] = -40.0  # gamma link saturated at ~0
         init = ets_init(y, 4, True)
-        _, g, _, _ = ets_derivatives(y, raw, spec_ets(m=4), init)
+        _, g, _, _ = ets_one_series(y, raw, spec_ets(m=4), init)
         assert np.max(np.abs(g[:, 2])) < 1e-10
 
     def test_matches_finite_differences(self):
@@ -136,11 +137,12 @@ class TestDerivatives:
         raw = rng.normal(0, 1, (30, 4))
         init = ets_init(y, 6, True)
         spec = spec_ets(m=6)
-        loss, g, h, _ = ets_derivatives(y, raw, spec, init)
+        loss, g, h, _ = ets_one_series(y, raw, spec, init)
         err = finite_diff_check(
-            lambda r: ets_derivatives(y, r.reshape(30, 4), spec, init)[0], g, raw
+            lambda r: ets_one_series(y, r.reshape(30, 4), spec, init)[0], g, raw
         )
         assert err < 1e-3
+        assert loss == ets_sse(y, raw, spec, init)
 
     def test_zero_residual_zero_gradient(self):
         # generate y by running the recursion forward with known parameters
@@ -162,7 +164,7 @@ class TestDerivatives:
             rg[slot] = values[t, 2] * y[t] / v + (1 - values[t, 2]) * rg[slot]
             level, trend = new_level, new_trend
         init = EtsState(100.0, 1.0, ring)
-        loss, g, _, fitted = ets_derivatives(y, raw, spec, init)
+        loss, g, _, fitted = ets_one_series(y, raw, spec, init)
         assert loss < 1e-16
         assert np.max(np.abs(g)) < 1e-8
 
@@ -172,9 +174,9 @@ class TestDerivatives:
         raw = rng.normal(0, 1, (25, 2))
         spec = TargetSpec(kind="ets_linear", m=1)
         init = ets_init(y, 1, False)
-        _, g, _, _ = ets_derivatives(y, raw, spec, init)
+        _, g, _, _ = ets_one_series(y, raw, spec, init)
         err = finite_diff_check(
-            lambda r: ets_derivatives(y, r.reshape(25, 2), spec, init)[0], g, raw
+            lambda r: ets_one_series(y, r.reshape(25, 2), spec, init)[0], g, raw
         )
         assert err < 1e-4
 
