@@ -1,5 +1,13 @@
-"""Deterministic reference models: OLS AR(p), moving-average decomposition,
-and fixed-parameter exponential smoothing (the MASE reference generator)."""
+"""The baseline family and other deterministic reference models.
+
+A baseline is per-series OLS AR(p) or fixed-parameter exponential
+smoothing (the generator of reference forecasts for the scaled error);
+``TARGETS`` names the kinds it supports.  A smoothing baseline is the
+smoothing target with constant parameters and forecasts through it, also
+inside the grid search; the OLS AR fit and its intercept are the only
+baseline-specific model code.  Also here: the classical moving-average
+decomposition behind the series strength features.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import hypertree
+from .data import PanelDataset, TimeSeries, future_panel
 from .errors import DataError, NumericError
-from .targets import TargetSpec, ets_filter, ets_forecast, ets_init
+from .metrics import wape
+from .targets import TargetSpec, ar_forecast_recursive
+
+TARGETS = ("ar", "ets", "ets_linear")
 
 
 @dataclass(frozen=True)
@@ -31,7 +44,7 @@ def fit_ols_ar(series, p: int, intercept: bool = False) -> OlsArModel:
     y = np.asarray(series, dtype=np.float64)
     n = len(y)
     if n < 2 * p + 1:
-        raise DataError(f"series of length {n} too short for AR({p}) fit")
+        raise DataError(f"{n} observations are too short for an AR({p}) fit (needs {2 * p + 1})")
     rows = n - p
     X = np.empty((rows, p))
     for j in range(1, p + 1):
@@ -48,17 +61,6 @@ def fit_ols_ar(series, p: int, intercept: bool = False) -> OlsArModel:
     if intercept:
         return OlsArModel(sol[1:], float(sol[0]), var)
     return OlsArModel(sol, None, var)
-
-
-def ols_ar_forecast(model: OlsArModel, history, h: int) -> np.ndarray:
-    """Recursive multi-step forecast with constant coefficients."""
-    buf = list(np.asarray(history, dtype=np.float64)[-model.p :])
-    out = np.empty(h)
-    c = model.intercept or 0.0
-    for k in range(h):
-        out[k] = c + sum(model.coefficients[j] * buf[-1 - j] for j in range(model.p))
-        buf.append(out[k])
-    return out
 
 
 def classical_decompose(series, m: int):
@@ -93,56 +95,130 @@ def classical_decompose(series, m: int):
     return trend, seasonal, remainder
 
 
-def fixed_ets_forecast(series, params: dict, m: int, h: int, kind: str = "ets") -> np.ndarray:
-    """Filter with constant smoothing parameters, then forecast h steps.
-
-    Shares the exact code path of the parameter-driven smoothing target, so
-    it doubles as the MASE reference generator.
-    """
-    y = np.asarray(series, dtype=np.float64)
-    spec = TargetSpec(kind=kind, m=m)
-    names = spec.param_names
-    values = np.tile([params[name] for name in names], (len(y), 1)).astype(np.float64)
-    init = ets_init(y, m, kind == "ets")
-    _, state = ets_filter(y, values, spec, init)
-    phi_future = np.full(h, params.get("phi", 1.0))
-    return ets_forecast(state, phi_future, h, spec)
-
-
-def grid_search_ets(series, m: int, horizon: int, kind: str = "ets",
-                    grid=None) -> tuple[float, dict]:
+def grid_search_ets(ds: PanelDataset, spec: TargetSpec, horizon: int, grid=None) -> float:
     """Pick the constant smoothing value minimizing mean hold-out WAPE.
 
-    ``series`` holds each series' observed values; each holds out its last
-    min(horizon, len // 4) values, and a series with nothing to hold out is
-    skipped.  All parameters share one constant, swept over {0.1, ..., 0.9};
-    a value that trips a numeric guard on any series is not scored, and ties
-    go to the first value.  Returns (best_value, best_params).
+    Each series of the padded panel ``ds`` holds out its last
+    min(horizon, n // 4) observed values, and a series with nothing to hold
+    out is skipped.  All parameters share one constant, swept over
+    {0.1, ..., 0.9}; a candidate is scored by one forecast of the held-out
+    panel, and one that trips a numeric guard on any series is not scored.
+    Ties go to the first value.  Returns the best value.
     """
-    from .metrics import wape
-
-    splits = []
-    for values in series:
-        y = np.asarray(values, dtype=np.float64)
-        h = min(horizon, len(y) // 4)
+    series, keep, held = [], [], []
+    for i, s in enumerate(ds.series):
+        rows = ds.rows_of(i)
+        on = np.flatnonzero(ds.mask[rows])
+        h = min(horizon, len(on) // 4)
         if h >= 1:
-            splits.append((y[:-h], y[-h:]))
-    if not splits:
+            series.append(TimeSeries(s.series_id, tuple(s.timestamps[j] for j in on[:-h])))
+            keep.append(rows[on[:-h]])
+            held.append(ds.y[rows[on[-h:]]])
+    if not series:
         raise DataError("smoothing grid search: no series has the 4 observations a hold-out needs")
+    train = spec.target.prepare(ds.take(series, np.concatenate(keep)))
     if grid is None:
         grid = [round(0.1 * k, 1) for k in range(1, 10)]
-    names = TargetSpec(kind=kind, m=m).param_names
     best_val, best = None, None
     for c in grid:
-        params = {name: c for name in names}
+        model = BaselineModel.smoothing(spec, c)
         try:
-            scores = [wape(test, fixed_ets_forecast(train, params, m, len(test), kind))
-                      for train, test in splits]
+            fc = hypertree.forecast(model, train, max(len(y) for y in held))
+            score = float(np.mean([wape(y, fc[s.series_id][0][:len(y)])
+                                   for s, y in zip(series, held)]))
         except NumericError:
             continue
-        score = float(np.mean(scores))
         if best_val is None or score < best_val:
             best_val, best = score, c
     if best is None:
         raise DataError("smoothing grid search: every candidate value failed a numeric guard")
-    return best, {name: best for name in names}
+    return best
+
+
+class BaselineModel:
+    """Per-series OLS AR coefficients, or one global smoothing constant;
+    ``parameters(ds)`` spreads them over a panel's rows as the tree models'
+    predictions are."""
+
+    def __init__(self, target: str, p: int, m: int, intercept: bool,
+                 per_series: dict, params: dict | None):
+        self.target = target
+        self.p = p
+        self.m = m
+        self.intercept = intercept
+        self.per_series = per_series    # ar: {sid: {"coefficients": [...], "intercept": x}}
+        self.params = params            # smoothing: {"alpha": c, ...}
+        self.spec = TargetSpec(kind=target, p=p, m=m)
+
+    @classmethod
+    def smoothing(cls, spec: TargetSpec, value: float) -> "BaselineModel":
+        """Every parameter of the smoothing target ``spec`` held at ``value``."""
+        return cls(spec.kind, 0, spec.m, False, {}, {n: value for n in spec.param_names})
+
+    def parameters(self, ds: PanelDataset) -> np.ndarray:
+        """(N, P) parameters of the panel's rows: the smoothing constants,
+        or the AR coefficients of each row's series."""
+        if self.target != "ar":
+            row = np.array([self.params[n] for n in self.spec.param_names], dtype=np.float64)
+            return np.tile(row, (ds.n_rows, 1))
+        coef = []
+        for s in ds.series:
+            entry = self.per_series.get(s.series_id)
+            if entry is None:
+                raise DataError(f"baseline has no coefficients for series {s.series_id!r}")
+            coef.append(entry["coefficients"])
+        return np.asarray(coef, dtype=np.float64)[ds.series_idx]
+
+    def to_dict(self):
+        return {
+            "family": "baseline",
+            "target": self.target,
+            "p": self.p,
+            "m": self.m,
+            "intercept": self.intercept,
+            "per_series": self.per_series,
+            "params": self.params,
+        }
+
+    @classmethod
+    def from_dict(cls, d):
+        return cls(d["target"], d["p"], d["m"], d["intercept"],
+                   d["per_series"], d["params"])
+
+
+def train_baseline(ds: PanelDataset, cfg) -> BaselineModel:
+    """Fit the configured baseline on a prepared panel."""
+    spec = cfg.target_spec(ds.frequency)
+    if spec.kind != "ar":
+        if cfg.model.grid_search:
+            return BaselineModel.smoothing(spec, grid_search_ets(ds, spec, cfg.eval.horizon))
+        return BaselineModel.smoothing(spec, cfg.model.fixed_value)
+    per_series = {}
+    for i, s in enumerate(ds.series):
+        rows = ds.rows_of(i)
+        try:
+            ols = fit_ols_ar(ds.y[rows][ds.mask[rows]], spec.p, cfg.model.intercept)
+        except DataError as exc:
+            raise DataError(f"series {s.series_id!r}: {exc}") from None
+        per_series[s.series_id] = {
+            "coefficients": [float(c) for c in ols.coefficients],
+            "intercept": ols.intercept,
+        }
+    return BaselineModel("ar", spec.p, spec.m, cfg.model.intercept, per_series, None)
+
+
+def forecast_baseline(model: BaselineModel, ds: PanelDataset, h: int) -> dict:
+    """Per-series h-step forecasts.  A smoothing baseline forecasts through
+    its target like any parameter-producing model; the AR baseline runs the
+    AR recursion with each series' OLS intercept."""
+    if model.target != "ar":
+        return hypertree.forecast(model, ds, h)
+    fut = future_panel(ds, h)
+    theta = model.parameters(fut)
+    out = {}
+    for i, s in enumerate(ds.series):
+        rows = ds.rows_of(i)
+        fc = ar_forecast_recursive(theta[fut.rows_of(i)], ds.y[rows][ds.mask[rows]], h,
+                                   model.per_series[s.series_id]["intercept"] or 0.0)
+        out[s.series_id] = (fc, list(fut.series[i].timestamps))
+    return out

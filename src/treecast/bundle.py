@@ -1,7 +1,9 @@
-"""Model bundle directories and atomic file IO.
+"""Model bundle directories and atomic file IO; nothing else.
 
 A bundle holds a manifest, one JSON file per ensemble, the categorical code
-map, and the training log.  Floats are serialized with their shortest
+map, and the training log.  ``_FAMILIES`` maps a manifest's family to the
+model class that decodes it; the models themselves live in ``hypertree``,
+``treenet`` and ``baselines``.  Floats are serialized with their shortest
 round-tripping representation, so save/load is bit-exact.  All writes go
 through a temp file plus rename.
 """
@@ -15,11 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import (OlsArModel, fit_ols_ar, fixed_ets_forecast, grid_search_ets,
-                        ols_ar_forecast)
+from .baselines import BaselineModel
 from .boosting import TreeEnsemble
-from .data import PanelDataset, future_panel
-from .errors import ConfigError, DataError
+from .errors import DataError
 from .hypertree import HyperTreeModel
 from .treenet import TreeNetModel
 
@@ -73,77 +73,6 @@ def read_value_csv(path) -> dict:
                     raise DataError(f"{path}:{line_no}: non-numeric value {parts[2]!r}")
     except FileNotFoundError:
         raise DataError(f"file not found: {path}")
-    return out
-
-
-class BaselineModel:
-    """Per-series OLS AR coefficients, or one global smoothing constant."""
-
-    def __init__(self, target: str, p: int, m: int, intercept: bool,
-                 per_series: dict, params: dict | None):
-        self.target = target
-        self.p = p
-        self.m = m
-        self.intercept = intercept
-        self.per_series = per_series    # ar: {sid: {"coefficients": [...], "intercept": x}}
-        self.params = params            # smoothing: {"alpha": c, ...}
-
-    def to_dict(self):
-        return {
-            "family": "baseline",
-            "target": self.target,
-            "p": self.p,
-            "m": self.m,
-            "intercept": self.intercept,
-            "per_series": self.per_series,
-            "params": self.params,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(d["target"], d["p"], d["m"], d["intercept"],
-                   d["per_series"], d["params"])
-
-
-def train_baseline(ds: PanelDataset, cfg) -> BaselineModel:
-    target = cfg.model.target
-    spec = cfg.target_spec(ds.frequency)
-    if target == "ar":
-        per_series = {}
-        for i, s in enumerate(ds.series):
-            rows = ds.rows_of(i)
-            vals = ds.y[rows][ds.mask[rows]]
-            model = fit_ols_ar(vals, cfg.model.p, cfg.model.intercept)
-            per_series[s.series_id] = {
-                "coefficients": [float(c) for c in model.coefficients],
-                "intercept": model.intercept,
-            }
-        return BaselineModel("ar", cfg.model.p, spec.m, cfg.model.intercept, per_series, None)
-    if target in ("ets", "ets_linear"):
-        if cfg.model.grid_search:
-            series = [ds.y[rows][ds.mask[rows]] for rows in map(ds.rows_of, range(ds.n_series))]
-            _, params = grid_search_ets(series, spec.m, cfg.eval.horizon, target)
-        else:
-            params = {n: cfg.model.fixed_value for n in spec.param_names}
-        return BaselineModel(target, 0, spec.m, False, {}, params)
-    raise ConfigError(f"baseline family does not support target {target!r}")
-
-
-def forecast_baseline(model: BaselineModel, ds: PanelDataset, h: int) -> dict:
-    out = {}
-    fut = future_panel(ds, h)
-    for i, s in enumerate(ds.series):
-        rows = ds.rows_of(i)
-        vals = ds.y[rows][ds.mask[rows]]
-        if model.target == "ar":
-            entry = model.per_series.get(s.series_id)
-            if entry is None:
-                raise DataError(f"baseline has no coefficients for series {s.series_id!r}")
-            ols = OlsArModel(np.asarray(entry["coefficients"]), entry["intercept"], 0.0)
-            fc = ols_ar_forecast(ols, vals, h)
-        else:
-            fc = fixed_ets_forecast(vals, model.params, model.m, h, model.target)
-        out[s.series_id] = (fc, list(fut.series[i].timestamps))
     return out
 
 

@@ -13,8 +13,8 @@ from pathlib import Path
 import click
 import numpy as np
 
+from . import baselines, hypertree, treenet
 from . import bundle as bundle_io
-from . import hypertree, treenet
 from .config import SECTION_FIELDS, RunConfig, config_from_dict, field_attr, load_config
 from .data import PanelDataset, attach_summary, build_lags, future_panel, ingest_csv
 from .datasets import bundled_path, synthetic_panel
@@ -80,7 +80,7 @@ def train_from_config(cfg: RunConfig, out_dir):
     echo = _config_echo(cfg)
     log = None
     if cfg.model.family == "baseline":
-        model = bundle_io.train_baseline(ds, cfg)
+        model = baselines.train_baseline(ds, cfg)
     elif cfg.model.family == "hypertree":
         model, log = hypertree.train(ds, spec, cfg.boosting, cfg.recipe())
     else:
@@ -96,7 +96,7 @@ def _dataset_for_bundle(manifest, code_maps, data_path):
 
 def forecast_rows(model, manifest, ds, h, average=False):
     if manifest["family"] == "baseline":
-        per_series = bundle_io.forecast_baseline(model, ds, h)
+        per_series = baselines.forecast_baseline(model, ds, h)
     else:
         per_series = hypertree.forecast(model, ds, h, average=average)
     rows = []
@@ -217,8 +217,7 @@ def cmd_decompose(config_path, out, overrides):
 
     from .targets import stl_components
 
-    fs = model.recipe.build(ds)
-    _, values = model.predict_parameters(fs.X)
+    values = model.parameters(ds)
     trend, seas, fitted = stl_components(values, ds.time_index, spec)
     stamps = ds.timestamps_flat()
     sids = [ds.series[i].series_id for i in ds.series_idx]
@@ -241,7 +240,7 @@ def cmd_decompose(config_path, out, overrides):
     if hasattr(model, "gain_importances"):
         for j, imp in enumerate(model.gain_importances()):
             for fid in sorted(imp):
-                rows.append((names[j], fs.names[fid], imp[fid]))
+                rows.append((names[j], model.feature_names[fid], imp[fid]))
     bundle_io.write_csv(out / "importances.csv",
                         ("parameter_name", "feature", "total_gain"), rows)
     click.echo(f"wrote components/parameters/importances to {out}")
@@ -353,18 +352,18 @@ def export_rows(model, ds: PanelDataset, h: int, what: str):
     fut = future_panel(ds, h)
     rows = []
     for phase, panel in (("train", ds), ("forecast", fut)):
-        fs = model.recipe.build(panel)
-        model.check_schema(fs.names)
         stamps = panel.timestamps_flat()
         sids = [panel.series[i].series_id for i in panel.series_idx]
         if what == "parameters":
-            _, values = model.predict_parameters(fs.X)
+            values = model.parameters(panel)
             names = model.spec.param_names
             for i in range(panel.n_rows):
                 for j, name in enumerate(names):
                     rows.append((sids[i], stamps[i].isoformat(), name,
                                  values[i, j], phase))
         else:
+            fs = model.recipe.build(panel)
+            model.check_schema(fs.names)
             E = model.embeddings(fs.X)
             for i in range(panel.n_rows):
                 for j in range(E.shape[1]):

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import yaml
 
+from . import baselines
 from .data import CALENDAR_NAMES, FREQUENCIES, seasonal_period
 from .errors import ConfigError
 from .hypertree import BoostConfig, FeatureRecipe
@@ -211,6 +212,11 @@ def _validate(cfg: RunConfig) -> list:
         errors.append(f"model.target: must be one of {tuple(KINDS)}")
     if cfg.model.target == "ar" and cfg.model.p < 1:
         errors.append("model.p: must be >= 1 for the ar target")
+    if cfg.model.family == "baseline":
+        if cfg.model.target not in baselines.TARGETS:
+            errors.append(f"model.target: the baseline family supports {baselines.TARGETS}")
+        elif cfg.model.target != "ar" and not _in_unit(cfg.model.fixed_value):
+            errors.append("model.fixed_value: must be in (0, 1] for a smoothing baseline")
     if cfg.eval.average_parameters and cfg.model.target != "ar":
         errors.append("eval.average_parameters: applies to the ar target only")
     if cfg.model.damping not in ("power", "cumprod"):
@@ -248,6 +254,11 @@ def _validate(cfg: RunConfig) -> list:
     if cfg.ablations.get("a9"):
         errors.append("ablations.a9: the two-stage leaf-index pipeline is not supported")
     return errors
+
+
+def _in_unit(value) -> bool:
+    """A number in (0, 1]."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value <= 1
 
 
 def apply_ablations(cfg: RunConfig) -> RunConfig:

@@ -348,28 +348,6 @@ def pad_for_ets(ds: PanelDataset) -> PanelDataset:
     return out
 
 
-def drop_last(ds: PanelDataset, h: int) -> PanelDataset:
-    """Remove the trailing h rows of every series (hold-out construction).
-
-    Only valid before padding or lag construction; calendar features are
-    re-derived for the shortened panel.  h = 0 returns the panel unchanged.
-    """
-    if h < 0:
-        raise ValueError(f"drop_last needs h >= 0, got {h}")
-    if not ds.mask.all() or ds.lags is not None:
-        raise ValueError("drop_last expects a raw (unpadded, lag-free) panel")
-    if h == 0:
-        return ds
-    series, keep = [], []
-    for i, s in enumerate(ds.series):
-        rows = ds.rows_of(i)
-        if len(rows) <= h:
-            raise DataError(f"series {s.series_id!r} shorter than hold-out {h}")
-        series.append(TimeSeries(s.series_id, s.timestamps[:-h]))
-        keep.append(rows[:-h])
-    return ds.take(series, np.concatenate(keep))
-
-
 def _acf1(x: np.ndarray) -> float:
     x = np.asarray(x, dtype=np.float64)
     if len(x) < 2:

@@ -99,6 +99,12 @@ class HyperTreeModel:
         raw = self.predict_raw(X)
         return raw, self.spec.target.link(raw)
 
+    def parameters(self, ds: PanelDataset) -> np.ndarray:
+        """(N, P) linked parameters of the panel's rows."""
+        fs = self.recipe.build(ds)
+        self.check_schema(fs.names)
+        return self.predict_parameters(fs.X)[1]
+
     def gain_importances(self) -> list:
         return [ens.gain_importances() for ens in self.ensembles]
 
@@ -164,18 +170,16 @@ def average_parameters(values: np.ndarray) -> np.ndarray:
 def forecast(model, ds: PanelDataset, h: int, average: bool = False) -> dict:
     """Per-series h-step forecasts from any parameter-producing model.
 
-    ``model`` needs predict_parameters / recipe / spec / check_schema, which
-    both the per-parameter and the embedding-decoder models provide.  With
-    ``average`` the horizon's parameters are averaged and held constant
+    ``model`` needs ``spec`` and ``parameters(ds)``, which the
+    per-parameter, the embedding-decoder and the baseline models provide.
+    With ``average`` the horizon's parameters are averaged and held constant
     (the CLI allows this for autoregressive targets only).
     """
     if h == 0:
         return {s.series_id: (np.empty(0), []) for s in ds.series}
     target = model.spec.target
     fut = future_panel(ds, h)
-    fs_future = model.recipe.build(fut)
-    model.check_schema(fs_future.names)
-    _, values_f = model.predict_parameters(fs_future.X)
+    values_f = model.parameters(fut)
     state = target.forecast_state(model, ds)
     out = {}
     for i, s in enumerate(ds.series):

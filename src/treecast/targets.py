@@ -10,13 +10,13 @@ preparation reach a kind only through its class.  A kind supplies
 - ``prepare(ds)``, its own data preparation, and ``time_feature``, whether
   the trees also see the raw time index;
 - ``bind(ds)`` -> (training weight, ``state`` reused by every loss);
-- ``loss(raw, ds, state)`` over the whole panel, masked and floored, or
-  with ``per_series`` ``series_loss(raw, ds, i, rows, state)`` of series
-  i: both return (loss, g, h, fitted);
+- ``loss(raw, ds, state)`` -> (loss, g, h, fitted) over the whole panel,
+  g and h masked and h floored;
 - ``fitted_jacobian(ds, weight, state)`` when the fit is row-local, else
   None;
-- ``forecast_state(model, ds)`` once, then ``forecast(values, ds, i,
-  t_future, state)`` from series i's (h, P) horizon parameters.
+- ``forecast_state(model, ds)`` once, from the model's ``parameters(ds)``
+  where the kind needs them, then ``forecast(values, ds, i, t_future,
+  state)`` from series i's (h, P) horizon parameters.
 
 The numeric kernels the classes call are plain functions.  Smoothing
 parameters pass through scaled sigmoids so alpha/beta/gamma stay inside
@@ -111,15 +111,17 @@ def _sigmoid(x):
 # autoregressive kernel
 # --------------------------------------------------------------------------
 
-def ar_forecast_recursive(theta_future: np.ndarray, history, h: int) -> np.ndarray:
-    """Iterate the AR recursion h steps, feeding forecasts back as lags."""
+def ar_forecast_recursive(theta_future: np.ndarray, history, h: int,
+                          intercept: float = 0.0) -> np.ndarray:
+    """Iterate y_t = intercept + sum_j theta_{t,j} y_{t-j} h steps, feeding
+    forecasts back as lags."""
     p = theta_future.shape[1]
     buf = list(np.asarray(history, dtype=np.float64)[-p:])
     if len(buf) < p:
         raise ValueError(f"need at least {p} history values, got {len(buf)}")
     out = np.empty(h)
     for k in range(h):
-        out[k] = sum(theta_future[k, j] * buf[-1 - j] for j in range(p))
+        out[k] = intercept + sum(theta_future[k, j] * buf[-1 - j] for j in range(p))
         buf.append(out[k])
     return out
 
@@ -444,43 +446,38 @@ def stl_components(values: np.ndarray, t: np.ndarray, spec: TargetSpec):
     return trend, seas, trend + seas
 
 
-def _diff_penalty(x):
-    """(value, gradient, hessian diagonal) of sum (dx)^2 + sum (d2x)^2."""
-    n = len(x)
-    val = 0.0
-    grad = np.zeros(n)
-    hess = np.zeros(n)
-    if n >= 2:
-        d1 = np.diff(x)
-        val += float(np.dot(d1, d1))
-        grad[:-1] -= 2.0 * d1
-        grad[1:] += 2.0 * d1
-        hess[:-1] += 2.0
-        hess[1:] += 2.0
-    if n >= 3:
-        d2 = np.diff(x, 2)
-        val += float(np.dot(d2, d2))
-        grad[:-2] += 2.0 * d2
-        grad[1:-1] -= 4.0 * d2
-        grad[2:] += 2.0 * d2
-        hess[:-2] += 2.0
-        hess[1:-1] += 8.0
-        hess[2:] += 2.0
+def _diff_penalty(x, same1, same2):
+    """(value, gradient, hessian diagonal) of sum (dx)^2 + sum (d2x)^2,
+    counting only the differences whose rows lie in one series: ``same1``
+    flags the first differences, ``same2`` the second."""
+    grad = np.zeros(len(x))
+    hess = np.zeros(len(x))
+    d1 = np.where(same1, np.diff(x), 0.0)
+    val = float(np.dot(d1, d1))
+    grad[:-1] -= 2.0 * d1
+    grad[1:] += 2.0 * d1
+    hess[:-1] += 2.0 * same1
+    hess[1:] += 2.0 * same1
+    d2 = np.where(same2, np.diff(x, 2), 0.0)
+    val += float(np.dot(d2, d2))
+    grad[:-2] += 2.0 * d2
+    grad[1:-1] -= 4.0 * d2
+    grad[2:] += 2.0 * d2
+    hess[:-2] += 2.0 * same2
+    hess[1:-1] += 8.0 * same2
+    hess[2:] += 2.0 * same2
     return val, grad, hess
 
 
-def stl_loss_grad(raw, t, y, spec: TargetSpec, mask=None):
-    """Squared error plus smoothness penalty on the two trend coefficients.
+def _stl_loss(raw, t, y, spec: TargetSpec, mask, series_idx):
+    """Squared error plus smoothness penalty over a panel whose row r belongs
+    to series ``series_idx[r]``.
 
     The penalty weighs squared first and second differences of the
-    intercept and slope sequences along time, over the unmasked rows.
+    intercept and slope sequences along time, over each series' unmasked
+    rows; a difference that would cross a series boundary counts zero.
     Returns (loss, g, h, fitted).
     """
-    raw = np.asarray(raw, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    T = len(y)
-    if mask is None:
-        mask = np.ones(T, dtype=bool)
     w = mask.astype(np.float64)
     B = stl_basis(spec, t)
     fitted = np.einsum("np,np->n", raw, B)
@@ -489,13 +486,27 @@ def stl_loss_grad(raw, t, y, spec: TargetSpec, mask=None):
     h = 2.0 * w[:, None] * B * B
     if spec.penalty > 0:
         sel = np.nonzero(mask)[0]
+        sid = series_idx[sel]
+        same1 = sid[1:] == sid[:-1]
+        same2 = same1[1:] & same1[:-1]
         for col in (0, 1):
-            pv, pg, ph = _diff_penalty(raw[sel, col])
+            pv, pg, ph = _diff_penalty(raw[sel, col], same1, same2)
             loss += spec.penalty * pv
             g[sel, col] += spec.penalty * pg
             h[sel, col] += spec.penalty * ph
     fitted = np.where(mask, fitted, 0.0)
     return loss, g, h, fitted
+
+
+def stl_loss_grad(raw, t, y, spec: TargetSpec, mask=None):
+    """The trend + Fourier loss of one series: the one-series call of the
+    panel loss the STL target runs (see ``_stl_loss``).
+    Returns (loss, g, h, fitted).
+    """
+    y = np.asarray(y, dtype=np.float64)
+    mask = np.ones(len(y), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    return _stl_loss(np.asarray(raw, dtype=np.float64), t, y, spec, mask,
+                     np.zeros(len(y), dtype=np.int64))
 
 
 # --------------------------------------------------------------------------
@@ -513,7 +524,6 @@ class Target:
     """The protocol (see the module docstring), with the identity-link
     defaults of the kinds that need nothing else."""
 
-    per_series = False
     time_feature = False
 
     def __init__(self, spec: TargetSpec):
@@ -638,8 +648,13 @@ class SmoothingTarget(Target):
         padded panel's series share one length."""
         if len({len(s) for s in ds.series}) > 1:
             raise ValueError("smoothing needs series of equal length (pad_for_ets)")
-        inits = [ets_init(ds.y[rows][ds.mask[rows]], self.spec.m, self.seasonal)
-                 for rows in map(ds.rows_of, range(ds.n_series))]
+        inits = []
+        for i, s in enumerate(ds.series):
+            rows = ds.rows_of(i)
+            try:
+                inits.append(ets_init(ds.y[rows][ds.mask[rows]], self.spec.m, self.seasonal))
+            except NumericError as exc:
+                raise NumericError(f"series {s.series_id!r}: {exc}") from None
         return ds.mask.copy(), (inits, [s.series_id for s in ds.series])
 
     def loss(self, raw, ds, state):
@@ -651,7 +666,7 @@ class SmoothingTarget(Target):
 
     def forecast_state(self, model, ds):
         # one forward pass over the training rows reaches every series' end state
-        _, values = model.predict_parameters(model.recipe.build(ds).X)
+        values = model.parameters(ds)
         inits, ids = self.bind(ds)[1]
         S = ds.n_series
         grid = lambda x: x.reshape(S, -1, *x.shape[1:]).swapaxes(0, 1)
@@ -675,7 +690,6 @@ class StlTarget(Target):
     """Trend (intercept + slope * t) plus Fourier seasonality, with a
     smoothness penalty on the trend coefficients along each series."""
 
-    per_series = True
     time_feature = True
 
     @property
@@ -692,8 +706,9 @@ class StlTarget(Target):
         base[0] = float(np.mean(ds.y[ds.mask]))
         return base
 
-    def series_loss(self, raw, ds, i, rows, state):
-        return stl_loss_grad(raw, ds.time_index[rows], ds.y[rows], self.spec, ds.mask[rows])
+    def loss(self, raw, ds, state):
+        out = _stl_loss(raw, ds.time_index, ds.y, self.spec, ds.mask, ds.series_idx)
+        return _masked_floored(ds.mask, *out)
 
     def fitted_jacobian(self, ds, weight, state):
         return stl_basis(self.spec, ds.time_index) * weight[:, None]
@@ -740,34 +755,20 @@ class Objective:
     ``evaluate`` maps an (N, P) raw parameter matrix to (loss_sum, g, h,
     fitted); h is Gauss-Newton, floored at HESS_FLOOR on contributing rows
     and exactly zero elsewhere.  Returned arrays may be cached and shared
-    across calls; treat them as read-only.  A kind with ``per_series`` is
-    evaluated one series at a time; every other kind over the whole panel.
+    across calls; treat them as read-only.  Every kind evaluates the whole
+    panel at once.
     """
 
     def __init__(self, ds, spec: TargetSpec):
         self.ds = ds
         self.target = spec.target
         self.weight, self._state = self.target.bind(ds)
-        self._series_rows = [ds.rows_of(i) for i in range(ds.n_series)]
         self.n_weight = int(self.weight.sum())
         if self.n_weight == 0:
             raise NumericError("no unmasked training rows: loss is empty")
 
     def evaluate(self, raw: np.ndarray):
-        target, ds = self.target, self.ds
-        if not target.per_series:
-            return target.loss(raw, ds, self._state)
-        g = np.zeros_like(raw)
-        h = np.zeros_like(raw)
-        fitted = np.zeros(ds.n_rows)
-        loss = 0.0
-        for i, rows in enumerate(self._series_rows):
-            li, gi, hi, fi = target.series_loss(raw[rows], ds, i, rows, self._state)
-            loss += li
-            g[rows] = gi
-            h[rows] = hi
-            fitted[rows] = fi
-        return _masked_floored(self.weight, loss, g, h, fitted)
+        return self.target.loss(raw, self.ds, self._state)
 
     def local_fitted_jacobian(self, raw: np.ndarray):
         """d fitted_row / d raw_row for targets whose fit is row-local.

@@ -197,6 +197,7 @@ class TreeNetModel:
         self.feat_scale = feat_scale
 
     check_schema = HyperTreeModel.check_schema
+    parameters = HyperTreeModel.parameters
 
     def embeddings(self, X: np.ndarray) -> np.ndarray:
         if self.net_cfg.encoder == "features":

@@ -3,9 +3,9 @@ from datetime import date
 import numpy as np
 import pytest
 
-from treecast.data import (PanelDataset, TimeSeries, build_lags, drop_last, extend_timestamps,
-                           ingest_csv)
+from treecast.data import PanelDataset, TimeSeries, build_lags, extend_timestamps, ingest_csv
 from treecast.datasets import air_passengers_path
+from treecast.errors import DataError
 from treecast.hypertree import BoostConfig, FeatureRecipe
 from treecast.hypertree import train as train_hypertree
 from treecast.targets import TargetSpec, ets_filter, ets_loss_grad
@@ -19,6 +19,28 @@ def make_panel(series_values, frequency="monthly", start=date(2000, 1, 1), cat=N
     ]
     y = np.concatenate([np.asarray(v, dtype=np.float64) for v in series_values.values()])
     return PanelDataset.build(series, y, frequency, cat=cat, num=num)
+
+
+def drop_last(ds: PanelDataset, h: int) -> PanelDataset:
+    """Remove the trailing h rows of every series (hold-out construction).
+
+    Only valid before padding or lag construction; calendar features are
+    re-derived for the shortened panel.  h = 0 returns the panel unchanged.
+    """
+    if h < 0:
+        raise ValueError(f"drop_last needs h >= 0, got {h}")
+    if not ds.mask.all() or ds.lags is not None:
+        raise ValueError("drop_last expects a raw (unpadded, lag-free) panel")
+    if h == 0:
+        return ds
+    series, keep = [], []
+    for i, s in enumerate(ds.series):
+        rows = ds.rows_of(i)
+        if len(rows) <= h:
+            raise DataError(f"series {s.series_id!r} shorter than hold-out {h}")
+        series.append(TimeSeries(s.series_id, s.timestamps[:-h]))
+        keep.append(rows[:-h])
+    return ds.take(series, np.concatenate(keep))
 
 
 def ets_one_series(y, raw, spec, init):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericError
+from treecast.errors import NumericError
 
 REL_FLOOR = 1e-8
 

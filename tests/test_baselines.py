@@ -1,13 +1,39 @@
 import numpy as np
 import pytest
 
-from treecast.baselines import (classical_decompose, fit_ols_ar, fixed_ets_forecast,
-                                grid_search_ets, ols_ar_forecast)
-from treecast.errors import DataError
+from treecast.baselines import (BaselineModel, classical_decompose, fit_ols_ar,
+                                forecast_baseline, grid_search_ets, train_baseline)
+from treecast.cli import prepare_dataset
+from treecast.config import config_from_dict
+from treecast.data import pad_for_ets
+from treecast.errors import DataError, NumericError
 from treecast.metrics import wape
-from treecast.targets import TargetSpec, ets_filter, ets_forecast, ets_init
+from treecast.targets import TargetSpec, ar_forecast_recursive, ets_filter, ets_forecast, ets_init
 
-from conftest import ar2_sim
+from conftest import ar2_sim, drop_last, make_panel
+
+GRID = [round(0.1 * k, 1) for k in range(1, 10)]
+
+
+def replay(y, value, kind, m, h):
+    """The one-series oracle of a smoothing baseline: filter ``y`` with every
+    parameter at ``value``, then forecast h steps."""
+    spec = TargetSpec(kind, m=m)
+    values = np.full((len(y), spec.param_count), value)
+    _, state = ets_filter(y, values, spec, ets_init(y, m, kind == "ets"))
+    return ets_forecast(state, np.full(h, value), h, spec)
+
+
+def baseline_panel(**model):
+    """The bundled unequal-length panel, prepared for a baseline config."""
+    cfg = config_from_dict({"data": {"path": "bundled:panel_seasonal_b.csv"},
+                            "model": {"family": "baseline", "m": 12, **model}})
+    return cfg, prepare_dataset(cfg)
+
+
+def observed(ds, i):
+    rows = ds.rows_of(i)
+    return ds.y[rows][ds.mask[rows]]
 
 
 class TestOlsAr:
@@ -52,7 +78,7 @@ class TestOlsAr:
 
     def test_forecast_recursion(self):
         model = fit_ols_ar(ar2_sim(n=100, seed=9), 2)
-        out = ols_ar_forecast(model, [1.0, 2.0], 3)
+        out = ar_forecast_recursive(np.tile(model.coefficients, (3, 1)), [1.0, 2.0], 3)
         c = model.coefficients
         e1 = c[0] * 2.0 + c[1] * 1.0
         e2 = c[0] * e1 + c[1] * 2.0
@@ -93,15 +119,12 @@ class TestClassicalDecompose:
 
 class TestFixedEts:
     def test_matches_target_code_path(self, air_full):
-        y = air_full.y[air_full.rows_of(0)][:60]
-        params = {"alpha": 0.3, "beta": 0.3, "gamma": 0.3, "phi": 0.3}
-        got = fixed_ets_forecast(y, params, 12, 6)
-        spec = TargetSpec(kind="ets", m=12)
-        init = ets_init(y, 12, True)
-        values = np.tile([0.3, 0.3, 0.3, 0.3], (60, 1))
-        _, state = ets_filter(y, values, spec, init)
-        expected = ets_forecast(state, np.full(6, 0.3), 6, spec)
-        assert np.array_equal(got, expected)
+        ds = pad_for_ets(drop_last(air_full, 84))
+        y = observed(ds, 0)
+        assert len(y) == 60
+        model = BaselineModel.smoothing(TargetSpec("ets", m=12), 0.3)
+        got = forecast_baseline(model, ds, 6)["AirPassengers"][0]
+        assert np.array_equal(got, replay(y, 0.3, "ets", 12, 6))
 
     def test_gamma_zero_freezes_seasonal(self):
         rng = np.random.default_rng(1)
@@ -115,14 +138,59 @@ class TestFixedEts:
     def test_grid_search_is_argmin_of_bruteforce(self):
         t = np.arange(72)
         y = 100 + t + 20 * np.sin(2 * np.pi * t / 12)
-        best, params = grid_search_ets([y], 12, horizon=12)
+        spec = TargetSpec("ets", m=12)
+        best = grid_search_ets(spec.target.prepare(make_panel({"a": y})), spec, horizon=12)
         scores = {}
-        for c in [round(0.1 * k, 1) for k in range(1, 10)]:
-            p = {k_: c for k_ in ("alpha", "beta", "gamma", "phi")}
+        for c in GRID:
             try:
-                fc = fixed_ets_forecast(y[:-12], p, 12, 12)
-                scores[c] = wape(y[-12:], fc)
-            except Exception:
+                scores[c] = wape(y[-12:], replay(y[:-12], c, "ets", 12, 12))
+            except NumericError:
                 pass
         assert best == min(scores, key=scores.get)
-        assert params["alpha"] == best
+
+    @pytest.mark.parametrize("kind", ["ets", "ets_linear"])
+    def test_panel_grid_search_is_argmin_of_bruteforce(self, kind):
+        """Unequal lengths: each series holds out min(horizon, n // 4) values
+        and a candidate scores the mean WAPE over the series."""
+        cfg, ds = baseline_panel(target=kind)
+        spec = cfg.target_spec(ds.frequency)
+        best = grid_search_ets(ds, spec, horizon=12)
+        splits = []
+        for i in range(ds.n_series):
+            y = observed(ds, i)
+            h = min(12, len(y) // 4)
+            splits.append((y[:-h], y[-h:]))
+        assert len({len(tr) for tr, _ in splits}) > 1
+        scores = {c: np.mean([wape(te, replay(tr, c, kind, 12, len(te))) for tr, te in splits])
+                  for c in GRID}
+        assert best == min(scores, key=scores.get)
+
+
+class TestBaselineForecast:
+    @pytest.mark.parametrize("kind", ["ets", "ets_linear"])
+    def test_smoothing_matches_replay_on_padded_panel(self, kind):
+        cfg, ds = baseline_panel(target=kind, fixed_value=0.3)
+        assert not ds.mask.all()  # unequal lengths: the shorter series are padded
+        model = train_baseline(ds, cfg)
+        out = forecast_baseline(model, ds, 12)
+        for i, s in enumerate(ds.series):
+            assert np.array_equal(out[s.series_id][0], replay(observed(ds, i), 0.3, kind, 12, 12))
+
+    def test_ar_with_intercept_matches_hand_recursion(self):
+        cfg, ds = baseline_panel(target="ar", p=2, intercept=True)
+        model = train_baseline(ds, cfg)
+        out = forecast_baseline(model, ds, 12)
+        for i, s in enumerate(ds.series):
+            entry = model.per_series[s.series_id]
+            (t1, t2), c = entry["coefficients"], entry["intercept"]
+            assert c != 0.0
+            y = list(observed(ds, i))
+            for _ in range(12):
+                y.append(c + (t1 * y[-1] + t2 * y[-2]))
+            assert np.array_equal(out[s.series_id][0], y[-12:])
+
+    def test_parameters_tile_the_constants(self):
+        cfg, ds = baseline_panel(target="ets", fixed_value=0.7)
+        values = train_baseline(ds, cfg).parameters(ds)
+        assert values.shape == (ds.n_rows, 4) and values.dtype == np.float64
+        assert np.all(values == 0.7)

@@ -515,3 +515,71 @@ class TestConfig:
             load_config(str(p))
         assert "model.wat" in str(exc.value)
         assert "bogus" in str(exc.value)
+
+
+def write_series(tmp_path, series):
+    """Monthly CSV from {series_id: values}."""
+    rows = ["series_id,timestamp,value"] + [
+        f"{sid},{2000 + t // 12}-{t % 12 + 1:02d}-01,{v}"
+        for sid, values in series.items() for t, v in enumerate(values)]
+    path = tmp_path / "series.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+class TestBaselineConfig:
+    """A baseline config is checked before any data is read: the data path
+    here does not exist, so a data error (exit 3) would mean it was read."""
+
+    reference = str(Path(__file__).resolve().parent.parent / "configs/baseline_ets_reference.yaml")
+
+    @pytest.mark.parametrize("value", ["1.5", "0", "-0.2", "abc"])
+    def test_fixed_value_outside_unit_interval_exit_2(self, runner, tmp_path, value):
+        for target in ("ets", "ets_linear"):
+            res = runner.invoke(main, ["train", self.reference,
+                                       "--set", f"data.path={tmp_path / 'missing.csv'}",
+                                       "--set", f"model.target={target}",
+                                       "--set", f"model.fixed_value={value}",
+                                       "--out", str(tmp_path / "b")])
+            assert res.exit_code == 2, res.output
+            assert "model.fixed_value: must be in (0, 1]" in res.output
+
+    @pytest.mark.parametrize("target", ["stl", "direct"])
+    def test_unsupported_target_exit_2(self, runner, tmp_path, target):
+        res = runner.invoke(main, ["train", self.reference,
+                                   "--set", f"data.path={tmp_path / 'missing.csv'}",
+                                   "--set", f"model.target={target}",
+                                   "--out", str(tmp_path / "b")])
+        assert res.exit_code == 2, res.output
+        assert "model.target: the baseline family supports" in res.output
+
+    def test_fixed_value_one_accepted(self, runner, tmp_path):
+        res = runner.invoke(main, ["train", self.reference, "--set", "model.fixed_value=1",
+                                   "--out", str(tmp_path / "b")])
+        assert res.exit_code == 0, res.output
+
+
+class TestErrorsNameTheSeries:
+    def test_smoothing_start_state(self, runner, tmp_path):
+        t = np.arange(24)
+        data = write_series(tmp_path, {
+            "good": 100 + 10 * np.sin(t),
+            "bad": np.concatenate([np.full(12, -5.0), 100 + t[12:]]),
+        })
+        cfg = base_config(tmp_path, **{"model.target": "ets", "model.m": 12,
+                                       "data.path": data, "boosting.rounds": 2})
+        res = runner.invoke(main, ["train", cfg, "--out", str(tmp_path / "b")])
+        assert res.exit_code == 4, res.output
+        assert "series 'bad': multiplicative smoothing needs a positive starting level" in res.output
+
+    @pytest.mark.parametrize("sid, values, message", [
+        ("short", np.arange(4.0), "4 observations are too short for an AR(2) fit"),
+        ("flat", np.zeros(20), "rank-deficient AR design"),
+    ])
+    def test_ar_baseline_fit(self, runner, tmp_path, sid, values, message):
+        data = write_series(tmp_path, {"a": 10 + np.sin(np.arange(30)), sid: values})
+        cfg = base_config(tmp_path, **{"model.family": "baseline", "model.p": 2,
+                                       "data.path": data})
+        res = runner.invoke(main, ["train", cfg, "--out", str(tmp_path / "b")])
+        assert res.exit_code == 3, res.output
+        assert f"series '{sid}': {message}" in res.output

@@ -5,12 +5,12 @@ import pytest
 
 from treecast.baselines import classical_decompose
 from treecast.data import (RESERVED_CODE, attach_summary, build_lags, derive_calendar,
-                           drop_last, future_panel, ingest_csv, pad_for_ets, summarize_series)
+                           future_panel, ingest_csv, pad_for_ets, summarize_series)
 from treecast.datasets import synthetic_panel
 from treecast.errors import DataError
 from treecast.targets import Objective, TargetSpec
 
-from conftest import make_panel
+from conftest import drop_last, make_panel
 
 
 def write_csv(tmp_path, text, name="data.csv"):

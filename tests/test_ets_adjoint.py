@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from treecast.cli import main
 from treecast.data import pad_for_ets
 from treecast.errors import NumericError
-from treecast.hypertree import FeatureRecipe
 from treecast.targets import HESS_FLOOR, Objective, TargetSpec, ets_filter, ets_init
 
 from conftest import make_panel
@@ -25,13 +24,11 @@ RTOL = 1e-12  # of the largest entry of each compared array
 class FixedParameters:
     """A model whose parameters are a given raw matrix, for forecast_state."""
 
-    recipe = FeatureRecipe(calendar=())
-
     def __init__(self, spec, raw):
-        self.raw, self.values = raw, spec.target.link(raw)
+        self.values = spec.target.link(raw)
 
-    def predict_parameters(self, X):
-        return self.raw, self.values
+    def parameters(self, ds):
+        return self.values
 
 
 def close(got, ref):

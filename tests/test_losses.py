@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from treecast.errors import NumericError
-from treecast.losses import fd_hessian_diag, finite_diff_check, mse
+
+from losses import fd_hessian_diag, finite_diff_check, mse
 
 
 class TestMse:

@@ -7,9 +7,9 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from treecast.data import build_lags, drop_last, extend_timestamps, future_panel, pad_for_ets
+from treecast.data import build_lags, extend_timestamps, future_panel, pad_for_ets
 
-from conftest import make_panel
+from conftest import drop_last, make_panel
 
 
 @st.composite

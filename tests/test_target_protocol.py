@@ -6,10 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from treecast.losses import finite_diff_check
 from treecast.targets import KINDS, Objective, TargetSpec
 
 from conftest import make_panel
+from losses import finite_diff_check
 
 SPECS = {
     "ar": TargetSpec("ar", p=3),

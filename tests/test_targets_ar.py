@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from treecast.baselines import fit_ols_ar, ols_ar_forecast
-from treecast.losses import finite_diff_check
+from treecast.baselines import fit_ols_ar
 from treecast.targets import Objective, TargetSpec, ar_forecast_recursive
 
 from conftest import make_panel
+from losses import finite_diff_check
 from treecast.data import build_lags
 
 
@@ -76,11 +76,15 @@ class TestRecursiveForecast:
     def test_matches_ols_oracle(self):
         rng = np.random.default_rng(12)
         y = np.cumsum(rng.normal(0.2, 1.0, 120)) + 50
-        model = fit_ols_ar(y, 3, intercept=False)
-        expected = ols_ar_forecast(model, y, 8)
-        theta = np.tile(model.coefficients, (8, 1))
-        got = ar_forecast_recursive(theta, y, 8)
-        assert np.allclose(got, expected, atol=1e-10)
+        for intercept in (False, True):
+            model = fit_ols_ar(y, 3, intercept=intercept)
+            c = model.intercept or 0.0
+            hist = list(y)
+            for _ in range(8):
+                hist.append(c + sum(a * hist[-1 - j] for j, a in enumerate(model.coefficients)))
+            theta = np.tile(model.coefficients, (8, 1))
+            got = ar_forecast_recursive(theta, y, 8, c)
+            assert np.allclose(got, hist[-8:], atol=1e-10)
 
     def test_h1_equals_fit_on_appended_row(self):
         rng = np.random.default_rng(3)

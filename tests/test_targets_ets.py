@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treecast.errors import NumericError
-from treecast.losses import finite_diff_check
 from treecast.targets import EtsState, TargetSpec, ets_filter, ets_forecast, ets_init
 
 from conftest import ets_one_series, ets_sse
+from losses import finite_diff_check
 
 
 def spec_ets(m=12, damping="power"):

@@ -1,8 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treecast.losses import finite_diff_check
-from treecast.targets import TargetSpec, stl_components, stl_loss_grad
+from treecast.targets import Objective, TargetSpec, stl_components, stl_loss_grad
+
+from conftest import make_panel
+from losses import finite_diff_check
+from reference_stl import reference_loss_grad, reference_panel_loss
 
 
 def spec_stl(n_season=1, period=12, penalty=1.0):
@@ -89,3 +96,47 @@ class TestLossGrad:
         loss2, g2, _, _ = stl_loss_grad(raw2, t, y, spec_stl(penalty=2.0), mask)
         assert loss == pytest.approx(loss2)
         assert np.allclose(g[:9], g2[:9])
+
+
+@st.composite
+def masked_panels(draw):
+    """1-4 series of random length with random rows masked (at least one
+    row of the panel stays unmasked), a random spec and raw parameters."""
+    lengths = draw(st.lists(st.integers(1, 20), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ds = make_panel({f"s{i}": rng.normal(10, 3, n) for i, n in enumerate(lengths)})
+    mask = rng.random(ds.n_rows) < draw(st.sampled_from([0.5, 0.8, 1.0]))
+    mask[rng.integers(ds.n_rows)] = True
+    penalty = draw(st.sampled_from([0.0, draw(st.floats(1e-3, 50.0))]))
+    spec = spec_stl(n_season=draw(st.integers(1, 3)), period=draw(st.sampled_from([4, 12])),
+                    penalty=penalty)
+    raw = rng.normal(0, 2, (ds.n_rows, spec.param_count))
+    return spec, replace(ds, mask=mask), raw
+
+
+@given(masked_panels())
+@settings(max_examples=150, deadline=None)
+def test_panel_loss_matches_per_series_reference(case):
+    """One pass over the panel, with the penalty's differences cut at series
+    boundaries, gives the per-series loop's g, h and fitted bit for bit."""
+    spec, ds, raw = case
+    loss, g, h, fitted = Objective(ds, spec).evaluate(raw)
+    loss_ref, g_ref, h_ref, fitted_ref = reference_panel_loss(raw, ds, spec)
+    assert np.array_equal(g, g_ref)
+    assert np.array_equal(h, h_ref)
+    assert np.array_equal(fitted, fitted_ref)
+    assert abs(loss - loss_ref) <= 1e-12 * abs(loss_ref)
+
+
+def test_one_series_call_matches_reference():
+    rng = np.random.default_rng(6)
+    t = np.arange(30)
+    y = rng.normal(10, 3, 30)
+    raw = rng.normal(size=(30, 6))
+    mask = rng.random(30) < 0.7
+    spec = spec_stl(n_season=2, penalty=3.0)
+    got = stl_loss_grad(raw, t, y, spec, mask)
+    ref = reference_loss_grad(raw, t, y, spec, mask)
+    assert got[0] == ref[0]
+    for a, b in zip(got[1:], ref[1:]):
+        assert np.array_equal(a, b)

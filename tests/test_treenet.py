@@ -6,11 +6,11 @@ import pytest
 from treecast.boosting import Leaf
 from treecast.data import build_lags
 from treecast.hypertree import BoostConfig, forecast
-from treecast.losses import finite_diff_check
 from treecast.targets import Objective, TargetSpec
 from treecast.treenet import Mlp, NetConfig, TreeNetModel, embedding_grad_hess, train
 
 from conftest import ar2_sim, make_panel
+from losses import finite_diff_check
 
 
 def ar_panel(n=80, seed=0, p=3):
