@@ -19,7 +19,7 @@ from . import hypertree
 from .data import PanelDataset, TimeSeries, future_panel
 from .errors import DataError, NumericError
 from .metrics import wape
-from .targets import TargetSpec, ar_forecast_recursive
+from .targets import TargetSpec, ar_forecast_recursive, ar_history
 
 TARGETS = ("ar", "ets", "ets_linear")
 
@@ -217,8 +217,7 @@ def forecast_baseline(model: BaselineModel, ds: PanelDataset, h: int) -> dict:
     theta = model.parameters(fut)
     out = {}
     for i, s in enumerate(ds.series):
-        rows = ds.rows_of(i)
-        fc = ar_forecast_recursive(theta[fut.rows_of(i)], ds.y[rows][ds.mask[rows]], h,
+        fc = ar_forecast_recursive(theta[fut.rows_of(i)], ar_history(ds, i, model.p), h,
                                    model.per_series[s.series_id]["intercept"] or 0.0)
         out[s.series_id] = (fc, list(fut.series[i].timestamps))
     return out

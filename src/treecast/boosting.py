@@ -10,12 +10,18 @@ with exact (non-histogram) enumeration: numeric candidates are midpoints of
 adjacent distinct values present in the node, categorical candidates are
 prefix groupings of the node's codes ordered by G/H.
 
-A tree grows level by level.  Each column is ranked once per tree.  A
-column with at most one distinct value per DENSE_ROWS_PER_VALUE rows is
-scanned for every open node of a depth at once: one bincount sums g, h,
-the count weight and the row count per (node, column, rank), and one
-cumsum along the ranks gives every candidate.  Other columns keep a sorted
-scan per node.  Rows reach their children through one gather per depth.
+Everything that depends on X alone (categorical codes, each column's sort
+order and ranks, the bincount keys) is a SplitMatrix, built once per fit
+and shared by every tree grown on X.  A tree grows level by level, and
+every column is scanned for every open node of a depth at once.  A column
+with at most one distinct value per DENSE_ROWS_PER_VALUE rows is a grid
+column: one bincount sums g, h, the count weight and the row count per
+(node, column, rank), and one cumsum along the ranks gives every
+candidate.  A high-cardinality categorical column gets a bincount of its
+own; a high-cardinality numeric column is scanned through the matrix's sort
+order, stably partitioned by node, with one cumsum per node along a padded
+(node, position) layout.  Rows reach their children through one gather per
+depth.
 
 Ties: gains within TIE_RTOL (relative) of a node's best count as tied, and
 the lowest feature id, then the lowest threshold, wins.  Different scans sum
@@ -26,6 +32,7 @@ order as well as of evaluation order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,55 +115,6 @@ class Split:
         return np.isin(v.astype(np.int64), list(self.codes))
 
 
-def _gains(GL, HL, CL, G, H, C, lam, min_leaf):
-    """Split gains of left prefixes (GL, HL, CL) of a node with totals (G, H, C).
-
-    Candidates that leave fewer than min_leaf counted rows on either side
-    get -inf.
-    """
-    GR, HR, CR = G - GL, H - HL, C - CL
-    gains = GL * GL / (HL + lam) + GR * GR / (HR + lam) - G * G / (H + lam)
-    return np.where((CL >= min_leaf) & (CR >= min_leaf), gains, -np.inf)
-
-
-def _scan_numeric(v, g, h, c, G, H, C, lam, min_leaf):
-    """Sorted scan of one numeric column at one node.
-
-    Returns (gains, thresholds) over the midpoints of adjacent distinct
-    values, or None when the node holds one distinct value.
-    """
-    order = np.argsort(v, kind="stable")
-    sv = v[order]
-    cut = np.nonzero(sv[:-1] != sv[1:])[0]
-    if len(cut) == 0:
-        return None
-    GL = np.cumsum(g[order])[cut]
-    HL = np.cumsum(h[order])[cut]
-    CL = np.cumsum(c[order])[cut]
-    return _gains(GL, HL, CL, G, H, C, lam, min_leaf), 0.5 * (sv[cut] + sv[cut + 1])
-
-
-def _scan_categorical(codes, g, h, c, G, H, C, lam, min_leaf):
-    """Sorted scan of one categorical column at one node.
-
-    Candidates are prefixes of the node's codes ordered by G/H (code order
-    on ties).  Returns (gains, codes in scan order), or None when the node
-    holds one code.
-    """
-    uniq, inverse = np.unique(codes, return_inverse=True)
-    if len(uniq) < 2:
-        return None
-    Gc = np.bincount(inverse, weights=g)
-    Hc = np.bincount(inverse, weights=h)
-    Cc = np.bincount(inverse, weights=c)
-    ratio = np.where(Hc > 0, Gc / np.maximum(Hc, 1e-300), 0.0)
-    order = np.lexsort((uniq, ratio))  # ratio asc, code asc on ties
-    GL = np.cumsum(Gc[order])[:-1]
-    HL = np.cumsum(Hc[order])[:-1]
-    CL = np.cumsum(Cc[order])[:-1]
-    return _gains(GL, HL, CL, G, H, C, lam, min_leaf), uniq[order]
-
-
 def fit_linear_leaf(Xn, feature_ids, g, h, lam, ridge):
     """Weighted ridge fit of an affine response in the leaf.
 
@@ -187,32 +145,33 @@ def fit_linear_leaf(Xn, feature_ids, g, h, lam, ridge):
 
 TIE_RTOL = 1e-12            # gains this close to a node's best count as tied
 DENSE_ROWS_PER_VALUE = 4    # columns with at least this many rows per distinct value use the grid
-_GRID_CELLS = 1 << 18       # grid cells per batch of nodes; bounds the scan's memory
+_GRID_CELLS = 1 << 18       # scan cells per batch of nodes; bounds the scan's memory
 
 
-class _LevelGrower:
-    """One tree's growth, one depth at a time.
+class SplitMatrix:
+    """What a split search needs of X alone, built once per fit.
 
-    Every column is ranked once: ``values[f, ranks[:, f]]`` is column f of
-    the training rows (integer codes for categoricals), and ``values`` rows
-    are sorted and padded with +inf.  A column with few distinct values for
-    its row count is a grid column: one ``bincount`` per depth sums g, h,
-    the count weight and the row count into a (node, statistic, column,
-    rank) grid for every open node at once, and one cumsum along the ranks
-    gives every candidate's left sums.  One more grid column holds each
-    node's totals in its first cell.  Other columns are scanned node by
-    node after a sort.  Rows move to their children by one gather per depth.
+    Every tree grown on X shares it, so it keeps only what the scans read,
+    in 32-bit integers.  Categorical cells count as integer codes.
+    ``values[f, ranks[:, f]]`` is column f; ``values`` rows are sorted and
+    padded with +inf.  A column with at least
+    DENSE_ROWS_PER_VALUE rows per distinct value is a grid column
+    (``dense``): ``keys`` holds the bincount key of every (statistic, grid
+    column, row), and one more grid column puts every row at rank 0 so that
+    its first cell sums a node's totals.  The other columns with two or more
+    values are ``sparse``: the numeric ones (``sorted_num``) are scanned
+    through ``order``, which lists the rows of each by value, ties by row
+    id, and each categorical one has bincount keys of its own
+    (``sorted_cat``).
     """
 
-    def __init__(self, X, kinds, g, h, counts, idx, params: TreeParams):
-        self.params = params
-        self.X = X[idx]
-        self.g, self.h, self.c = g[idx], h[idx], counts[idx]
-        m, n_feat = self.X.shape
-        self.is_cat = [k != "num" for k in kinds]
-        Xr = self.X
-        if any(self.is_cat):
-            Xr = Xr.copy()
+    def __init__(self, X, kinds):
+        self.X = X
+        m, n_feat = X.shape
+        self.is_cat = np.array([k != "num" for k in kinds], dtype=bool)
+        Xr = X
+        if self.is_cat.any():
+            Xr = X.copy()
             Xr[:, self.is_cat] = np.trunc(Xr[:, self.is_cat])  # categorical codes as integers
         order = Xr.argsort(axis=0, kind="stable")
         feats = np.arange(n_feat)
@@ -220,7 +179,7 @@ class _LevelGrower:
         new = np.empty(Xr.shape, dtype=bool)
         new[:1] = True
         np.not_equal(sv[1:], sv[:-1], out=new[1:])
-        sorted_ranks = np.add.accumulate(new, axis=0, dtype=np.intp)
+        sorted_ranks = np.add.accumulate(new, axis=0, dtype=np.int32)
         sorted_ranks -= 1
         self.ranks = np.empty_like(sorted_ranks)
         self.ranks[order, feats] = sorted_ranks
@@ -228,30 +187,74 @@ class _LevelGrower:
         self.n_uniq = n_uniq
         self.values = np.full((n_feat, max(n_uniq, default=1)), np.inf)
         self.values[feats, sorted_ranks] = sv
-        self.cols = Xr.T
 
         live = [f for f in range(n_feat) if n_uniq[f] > 1]
         dense = [f for f in live if DENSE_ROWS_PER_VALUE * n_uniq[f] <= m]
+        sparse = [f for f in live if f not in dense]
         self.dense = np.array(dense, dtype=np.intp)
-        self.sparse = np.array([f for f in live if f not in dense], dtype=np.intp)
+        self.sparse = np.array(sparse, dtype=np.intp)
         self.grid_cat = np.array([j for j, f in enumerate(dense) if self.is_cat[f]], dtype=np.intp)
         self.grid_feature = np.array(dense + [0], dtype=np.intp)  # the totals column never splits
         nd = len(dense)
         self.width = max([n_uniq[f] for f in dense], default=1)
         self.stride = (nd + 1) * self.width
-        # bincount keys and weights of every (statistic, grid column, row)
-        keys = np.empty((4, nd + 1, m), dtype=np.intp)
+        keys = np.empty((4, nd + 1, m), dtype=np.int32)
         keys[0, :nd] = self.ranks[:, dense].T
         keys[0, :nd] += self.width * np.arange(nd)[:, None]
         keys[0, nd] = nd * self.width
         keys[1:] = keys[0] + self.stride * np.arange(1, 4)[:, None, None]
         self.keys = keys.reshape(4 * (nd + 1), m)
+        self.sorted_num = np.array([f for f in sparse if not self.is_cat[f]], dtype=np.intp)
+        self.order = order.T[self.sorted_num].astype(np.int32)
+        self.sorted_cat = [(f, self.ranks[:, f] + np.arange(0, 4 * n_uniq[f], n_uniq[f],
+                                                            dtype=np.int32)[:, None])
+                           for f in sparse if self.is_cat[f]]
+
+
+class _Scan(NamedTuple):
+    """Summed (g, h, count weight, rows) of one level's candidates: ``cells``
+    is (node, statistic, column, slot), one row per node of the batch or of
+    ``nodes``.  A slot is a rank, or a position where ``slot_ranks`` gives
+    the rank; ``cat`` lists the categorical columns."""
+
+    nodes: np.ndarray | None
+    features: np.ndarray
+    cells: np.ndarray
+    cat: list
+    slot_ranks: np.ndarray | None = None
+
+
+class _LevelGrower:
+    """One tree's growth on a SplitMatrix, one depth at a time.
+
+    Every open node of a depth is scanned at once, in batches of nodes whose
+    cells stay under _GRID_CELLS.  A scan is a (node, statistic, column,
+    slot) array of the sums of g, h, the count weight and the row count, and
+    one cumsum along the slots gives every candidate's left sums:
+
+    - the grid columns: one bincount over the matrix's keys, a slot per rank;
+    - each sorted categorical column: one bincount over its own keys;
+    - the sorted numeric columns: the matrix's row order, stably partitioned
+      by node once per depth, puts each node's rows in value order (ties by
+      row), laid out padded as (node, position), so that each prefix is the
+      sequential sum a sort and cumsum of the node's rows give.  Candidates
+      are the positions where the rank changes.
+
+    Node totals come from the grid.  Rows move to their children by one
+    gather per depth.
+    """
+
+    def __init__(self, matrix: SplitMatrix, g, h, counts, params: TreeParams):
+        self.mx = matrix
+        self.params = params
+        self.g, self.h, self.c = g, h, counts
+        m, nd = len(g), len(matrix.dense)
         weights = np.empty((4, nd + 1, m))
-        weights[0], weights[1], weights[2], weights[3] = self.g, self.h, self.c, 1.0
+        weights[0], weights[1], weights[2], weights[3] = g, h, counts, 1.0
+        self.stats = weights[:, 0]                      # g, h, count weight, 1 of each row
         self.weights = weights.reshape(4 * (nd + 1), m)
         self.floors = np.array([params.min_leaf, 1.0])[:, None, None]  # counted rows, rows
         self.rows = np.arange(m)
-        self.rank_ids = np.arange(self.width)
 
     def grow(self, log):
         p = self.params
@@ -290,114 +293,178 @@ class _LevelGrower:
         splits.  The splits come as arrays: (node ids, features, thresholds,
         gains, rank tables), or None.
         """
-        size = 4 * self.stride
+        mx = self.mx
+        layout = None
+        if scan and len(mx.sorted_num):
+            layout = self.partition(node, n_nodes)
+        size = 4 * mx.stride
+        if scan:
+            size += 4 * sum(mx.n_uniq[f] for f, _ in mx.sorted_cat)
         batch = max(1, _GRID_CELLS // size)
         parts = []
         for a in range(0, n_nodes, batch):
             b = min(n_nodes, a + batch)
-            if b - a == n_nodes:
-                key, weights = self.keys + node * size, self.weights
-            else:
-                sel = (node >= a) & (node < b)
-                key, weights = self.keys[:, sel] + (node[sel] - a) * size, self.weights[:, sel]
-            cells = np.bincount(key.ravel(), weights.ravel(), minlength=(b - a) * size)
-            cells = cells.reshape(b - a, 4, -1, self.width)
-            found = self.best_splits(cells, node, a, b == n_nodes) if scan else None
-            parts.append((cells[:, :, -1, 0], found))
+            sel = None if b - a == n_nodes else (node >= a) & (node < b)
+            cells = self.bincount(mx.keys, self.weights, node, sel, a, b, mx.width)
+            T = cells[:, :, -1, 0].copy()
+            found = None
+            if scan:
+                scans = [_Scan(None, mx.grid_feature, cells, mx.grid_cat)]
+                for f, keys in mx.sorted_cat:
+                    cat_cells = self.bincount(keys, self.stats, node, sel, a, b, mx.n_uniq[f])
+                    scans.append(_Scan(None, np.array([f]), cat_cells, [0]))
+                if layout is not None:
+                    scans += self.positions(layout, a, b)
+                found = self.best_splits(scans, T, a, b == n_nodes)
+            parts.append((T, found))
         if len(parts) == 1:
             return parts[0]
         found = [f for _, f in parts if f is not None]
         return (np.concatenate([t for t, _ in parts]),
                 tuple(np.concatenate(x) for x in zip(*found)) if found else None)
 
-    def best_splits(self, cells, node, a, last):
-        """The splits of the nodes of one grid batch, as arrays (see ``level``).
+    def bincount(self, keys, weights, node, sel, a, b, width):
+        """Sums of ``weights`` per (node, statistic, column, rank) over the
+        rows of nodes [a, b), all rows when ``sel`` is None.  ``keys`` and
+        ``weights`` hold one row of the matrix per (statistic, column)."""
+        size = len(keys) * width
+        if sel is None:
+            key, w = keys + node * size, weights
+        else:
+            key, w = keys[:, sel] + (node[sel] - a) * size, weights[:, sel]
+        cells = np.bincount(key.ravel(), w.ravel(), minlength=(b - a) * size)
+        return cells.reshape(b - a, 4, -1, width)
 
-        A node's best gain is its maximum over every candidate; the split
-        taken is the lowest feature id, then the lowest threshold (the
-        shortest prefix for a categorical), among the candidates within
-        TIE_RTOL of it, so summation order cannot flip a tie.  On the grid
-        that is the first candidate in (column, rank) order that reaches
-        the cutoff.
+    def partition(self, node, n_nodes):
+        """The rows of the nodes that can split, in node order and, within a
+        node, in each sorted numeric column's order: (rows and their ranks,
+        one row per column; each node's row count there; each node's first
+        slot)."""
+        mx = self.mx
+        n_rows = np.bincount(node, minlength=n_nodes)
+        counted = np.bincount(node, self.c, minlength=n_nodes)
+        span = np.where((n_rows >= 2) & (counted >= 2 * self.params.min_leaf), n_rows, 0)
+        span[-1] = 0  # the finished rows
+        small = np.uint8 if n_nodes < 255 else np.uint16 if n_nodes < 65535 else np.intp
+        key = np.where(span > 0, np.arange(n_nodes), n_nodes).astype(small)[node]
+        perm = key[mx.order].argsort(axis=1, kind="stable")  # radix sort on the small key
+        start = np.zeros(n_nodes + 1, dtype=np.intp)
+        np.cumsum(span, out=start[1:])
+        rows = np.take_along_axis(mx.order, perm[:, :start[-1]], axis=1)
+        return rows, mx.ranks[rows, mx.sorted_num[:, None]], span, start
+
+    def positions(self, layout, a, b):
+        """The scans of the sorted numeric columns at nodes [a, b).
+
+        The nodes that can split go largest first into chunks, each padded
+        to its first node's rows and holding at most twice the rows it pads
+        (or one node), so a few large nodes do not pad every small one.  A
+        chunk's scan has (node, statistic, column, position) cells and the
+        rank at each slot, -1 past a node's rows.
         """
-        if not (len(self.dense) or len(self.sparse)):
-            return None
-        T = cells[:, :, -1, 0]
-        if len(self.dense):
-            gains, cat_order = self.grid_gains(cells, T)
-            flat = gains.reshape(len(T), -1)
-            best = np.maximum.reduce(flat, axis=1)
-        if len(self.sparse):
-            sparse_max, found = self.sorted_scans(T, node, a, last)
-            sparse_best = np.maximum.reduce(sparse_max, axis=1)
-            best = np.maximum(best, sparse_best) if len(self.dense) else sparse_best
+        rows, ranks, span, start = layout
+        n_col = len(rows)
+        sizes = span[a:b]
+        order = np.argsort(-sizes, kind="stable")[:np.count_nonzero(sizes)]
+        sizes = sizes[order].tolist()
+        scans, i = [], 0
+        while i < len(order):
+            width = held = sizes[i]
+            j = i + 1
+            while (j < len(order) and (j + 1 - i) * width <= 2 * (held + sizes[j])
+                   and (j + 1 - i) * width * 4 * n_col <= _GRID_CELLS):
+                held += sizes[j]
+                j += 1
+            nodes = order[i:j]
+            lens = sizes[i:j]
+            at = np.repeat(np.arange(j - i), lens)
+            pos = np.arange(held) - (np.cumsum(lens) - lens)[at]
+            slot = start[a + nodes][at] + pos
+            cells = np.zeros((j - i, 4, n_col, width))
+            cells[at, :, :, pos] = self.stats[:, rows[:, slot]].transpose(2, 0, 1)
+            slot_ranks = np.full((j - i, n_col, width), -1, dtype=ranks.dtype)
+            slot_ranks[at, :, pos] = ranks[:, slot].T
+            scans.append(_Scan(nodes, self.mx.sorted_num, cells, [], slot_ranks))
+            i = j
+        return scans
+
+    def best_splits(self, scans, T, a, last):
+        """The splits of the nodes of one batch, as arrays (see ``level``).
+
+        A scan covers every node of the batch, or the nodes it names.  A
+        node's best gain is its maximum over every candidate of every scan;
+        the split taken is the lowest feature id, then the lowest threshold
+        (the shortest prefix for a categorical), among the candidates within
+        TIE_RTOL of it, so summation order cannot flip a tie.  Each feature
+        is in one scan of a node, and within a scan the choice is the first
+        candidate in (column, slot) order that reaches the cutoff.
+        """
+        best, flats = None, []
+        for scan in scans:
+            covered = T if scan.nodes is None else T[scan.nodes]
+            gains, cat_order = self.grid_gains(scan.cells, covered, scan.cat)
+            ranks = scan.slot_ranks
+            if ranks is not None:  # a candidate ends where the rank changes
+                gains[..., :-1][ranks[..., :-1] == ranks[..., 1:]] = -np.inf
+                gains[..., -1] = -np.inf
+            flat = gains.reshape(len(covered), -1)
+            top = np.maximum.reduce(flat, axis=1)
+            if scan.nodes is not None:
+                top, top[scan.nodes] = np.full(len(T), -np.inf), top
+            best = top if best is None else np.maximum(best, top)
+            flats.append((flat, cat_order))
         if last:
             best[-1] = -np.inf
         sn = (best > 0.0).nonzero()[0]
         if not len(sn):
             return None
         cutoff = best[sn] * (1.0 - TIE_RTOL)
-        n_feat = len(self.n_uniq)
-        if len(self.dense):
-            pos = (flat[sn] >= cutoff[:, None]).argmax(axis=1)
-            gain = flat[sn, pos]
-            j, r = np.divmod(pos, self.width)
-            f = self.grid_feature[j]
-            nxt = ((cells[sn, 3, j] > 0) & (self.rank_ids > r[:, None])).argmax(axis=1)
-            thr = 0.5 * (self.values[f, r] + self.values[f, nxt])
-            tables = self.values[f] < thr[:, None]
-            feat = np.where(gain >= cutoff, f, n_feat) if len(self.sparse) else f
-            if len(self.grid_cat):
-                for q in (feat < n_feat).nonzero()[0]:
-                    if self.is_cat[f[q]]:
-                        tables[q] = False
-                        tables[q, cat_order[sn[q], j[q], :r[q] + 1]] = True
+        found = None
+        for scan, (flat, cat_order) in zip(scans, flats):
+            choice = self.choose(scan, flat, cat_order, sn, cutoff, len(T))
+            if found is None:
+                found = choice
+                continue
+            lower = choice[0] < found[0]
+            for kept, new in zip(found, choice):
+                kept[lower] = new[lower]
+        return (sn + a,) + found
+
+    def choose(self, scan: _Scan, flat, cat_order, sn, cutoff, n_nodes):
+        """(features, thresholds, gains, rank tables) of one scan's choice at
+        nodes ``sn``; the feature is past the last where no candidate of the
+        scan reaches the cutoff."""
+        mx = self.mx
+        cells, slot_ranks = scan.cells, scan.slot_ranks
+        covered = True
+        if scan.nodes is not None:  # the scan's row of each node
+            at = np.full(n_nodes, -1)
+            at[scan.nodes] = np.arange(len(scan.nodes))
+            sn = at[sn]
+            covered = sn >= 0
+        width = cells.shape[3]
+        pos = (flat[sn] >= cutoff[:, None]).argmax(axis=1)
+        gain = flat[sn, pos]
+        j, r = np.divmod(pos, width)
+        f = scan.features[j]
+        if slot_ranks is None:  # the next rank present in the node
+            lo = r
+            hi = ((cells[sn, 3, j] > 0) & (np.arange(width) > r[:, None])).argmax(axis=1)
         else:
-            gain, thr = np.empty(len(sn)), np.empty(len(sn))
-            tables = np.empty((len(sn), self.values.shape[1]), dtype=bool)
-            feat = np.full(len(sn), n_feat)
-        if len(self.sparse):
-            hit = sparse_max[sn] >= cutoff[:, None]
-            first = np.where(hit.any(axis=1), self.sparse[hit.argmax(axis=1)], n_feat)
-            for t in (first < feat).nonzero()[0]:
-                feat[t] = first[t]
-                gain[t], thr[t], tables[t] = self.sorted_choice(found[sn[t], first[t]], first[t],
-                                                                cutoff[t])
-        return sn + a, feat, thr, gain, tables
+            lo, hi = slot_ranks[sn, j, r], slot_ranks[sn, j, np.minimum(r + 1, width - 1)]
+        thr = 0.5 * (mx.values[f, lo] + mx.values[f, hi])
+        tables = mx.values[f] < thr[:, None]
+        chosen = (gain >= cutoff) & covered
+        if cat_order is not None:
+            for q in (mx.is_cat[f] & chosen).nonzero()[0]:
+                tables[q] = False
+                tables[q, cat_order[sn[q], j[q], :r[q] + 1]] = True
+        return np.where(chosen, f, len(mx.n_uniq)), thr, gain, tables
 
-    def sorted_scans(self, T, node, a, last):
-        """Best gain of every sorted column at every node, scanned node by node."""
-        p = self.params
-        best = np.full((len(T), len(self.sparse)), -np.inf)
-        found = {}
-        can = (T[:, 3] >= 2) & (T[:, 2] >= 2 * p.min_leaf)
-        if last:
-            can[-1] = False  # the finished rows
-        for i in can.nonzero()[0]:
-            seg = (node == a + i).nonzero()[0]
-            gg, hh, cc = self.g[seg], self.h[seg], self.c[seg]
-            G, H, C = gg.sum(), hh.sum(), cc.sum()
-            for col, f in enumerate(self.sparse):
-                scan_column = _scan_categorical if self.is_cat[f] else _scan_numeric
-                res = scan_column(self.cols[f][seg], gg, hh, cc, G, H, C, p.lam, p.min_leaf)
-                if res is not None:
-                    found[i, f] = res
-                    best[i, col] = res[0].max()
-        return best, found
-
-    def sorted_choice(self, found, f, cutoff):
-        """(gain, threshold, rank table) of a sorted column's chosen candidate."""
-        cand, payload = found
-        r = int((cand >= cutoff).argmax())
-        if self.is_cat[f]:
-            table = np.zeros(self.values.shape[1], dtype=bool)
-            table[self.values[f, :self.n_uniq[f]].searchsorted(payload[:r + 1])] = True
-            return cand[r], np.nan, table
-        return cand[r], payload[r], self.values[f] < payload[r]
-
-    def grid_gains(self, cells, T):
-        """Candidate gains of every grid cell, -inf where a cell is no candidate,
-        and the rank of each cell of a categorical column.
+    def grid_gains(self, cells, T, cat):
+        """Candidate gains of every cell of a scan, -inf where a cell is no
+        candidate, and the rank at each cell of its categorical columns
+        ``cat``.
 
         Cells of a categorical column are first put in G/H order (code order
         on ties, absent codes last), so that a prefix of its cells is a
@@ -409,8 +476,8 @@ class _LevelGrower:
         """
         p = self.params
         cat_order = None
-        if len(self.grid_cat):
-            cat = self.grid_cat
+        if len(cat):
+            cat = np.asarray(cat)
             G, H, N = cells[:, 0, cat], cells[:, 1, cat], cells[:, 3, cat]
             ratio = np.where(H > 0, G / np.maximum(H, 1e-300), 0.0)
             ratio[N == 0] = np.inf
@@ -429,11 +496,12 @@ class _LevelGrower:
         return np.where(ok[:, 0] & ok[:, 1], gains, -np.inf), cat_order
 
     def make_splits(self, ids, feat, thr, gain, tables):
+        mx = self.mx
         splits = {}
         for t, (i, f, th, gn) in enumerate(zip(ids.tolist(), feat.tolist(), thr.tolist(),
                                                gain.tolist())):
-            if self.is_cat[f]:
-                codes = frozenset(int(c) for c in self.values[f, tables[t].nonzero()[0]])
+            if mx.is_cat[f]:
+                codes = frozenset(int(c) for c in mx.values[f, tables[t].nonzero()[0]])
                 splits[i] = Split(f, "cat", None, codes, None, None, gn)
             else:
                 splits[i] = Split(f, "num", th, None, None, None, gn)
@@ -447,7 +515,7 @@ class _LevelGrower:
         which = np.full(k + 1, -1)
         which[ids] = np.arange(len(ids))
         s = which[node]
-        child = 2 * s + ~tables[s, self.ranks[self.rows, feat[s]]]
+        child = 2 * s + ~tables[s, self.mx.ranks[self.rows, feat[s]]]
         return np.where(s >= 0, child, 2 * len(ids))
 
     def leaf(self, node, i, G, H, path, log):
@@ -456,7 +524,7 @@ class _LevelGrower:
             return Leaf(leaf_weight(G, H, p.lam))
         seg = np.flatnonzero(node == i)
         fids = sorted(path)
-        Xn = self.X[np.ix_(seg, fids)] if fids else np.zeros((len(seg), 0))
+        Xn = self.mx.X[np.ix_(seg, fids)] if fids else np.zeros((len(seg), 0))
         b0, lin_fids, coef, ok = fit_linear_leaf(Xn, fids, self.g[seg], self.h[seg], p.lam,
                                                  p.linear_ridge)
         if not ok and log is not None:
@@ -466,18 +534,26 @@ class _LevelGrower:
         return Leaf(b0)
 
 
+def _grow(matrix: SplitMatrix, g, h, counts, params: TreeParams, log):
+    if counts is None:
+        counts = np.ones(len(g))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _LevelGrower(matrix, g, h, counts, params).grow(log)
+
+
 def grow_tree(X, kinds, g, h, idx, params: TreeParams, counts=None, log=None):
     """Grow one tree by greedy gain maximization, level by level.
 
     ``idx`` selects the training rows; ``counts`` (0/1 per row) says which
     rows count toward min_leaf (masked rows carry g=h=0 and count 0).
     Splits require positive gain and min_leaf on both children; depth is
-    limited by params.max_depth.
+    limited by params.max_depth.  This one-off entry builds the SplitMatrix
+    of ``X[idx]``; ``TreeEnsemble.boost_round`` grows on a shared one.
     """
-    if counts is None:
-        counts = np.ones(len(g))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _LevelGrower(X, kinds, g, h, counts, np.asarray(idx), params).grow(log)
+    idx = np.asarray(idx)
+    if counts is not None:
+        counts = counts[idx]
+    return _grow(SplitMatrix(X[idx], kinds), g[idx], h[idx], counts, params, log)
 
 
 def tree_values(node, X, idx=None):
@@ -531,11 +607,12 @@ class TreeEnsemble:
             out += self.params.learning_rate * tree_values(tree, X)
         return out
 
-    def boost_round(self, X, kinds, g, h, counts=None, log=None):
-        """Append one tree grown on (g, h); g must match current predictions."""
+    def boost_round(self, matrix: SplitMatrix, g, h, counts=None, log=None):
+        """Append one tree grown on (g, h) over the rows of ``matrix``; g must
+        match current predictions."""
         if self.n_features is None:
-            self.n_features = X.shape[1]
-        tree = grow_tree(X, kinds, g, h, np.arange(X.shape[0]), self.params, counts, log)
+            self.n_features = matrix.X.shape[1]
+        tree = _grow(matrix, g, h, counts, self.params, log)
         self.trees.append(tree)
         return tree
 

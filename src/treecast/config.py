@@ -123,6 +123,16 @@ SECTION_FIELDS = {  # file layout; also the order of a bundle's config echo
 }
 
 
+# numeric fields by type; ``None`` is allowed where marked optional.
+# model.fixed_value has its own check (baseline smoothing only).
+INT_FIELDS = (("model", "p"), ("model", "n_season"), ("model", "period"),
+              ("boosting", "rounds"), ("boosting", "max_depth"), ("boosting", "min_leaf"),
+              ("net", "d"), ("net", "hidden"), ("eval", "horizon"))
+OPTIONAL_INT_FIELDS = (("model", "m"), ("net", "k"))
+FLOAT_FIELDS = (("model", "penalty"), ("boosting", "learning_rate"), ("boosting", "lambda"),
+                ("boosting", "linear_ridge"), ("net", "dropout"), ("net", "lr"))
+
+
 def field_attr(section: str, key: str) -> str:
     """Attribute holding a config field (``lambda`` is a Python keyword)."""
     return "lam" if (section, key) == ("boosting", "lambda") else key
@@ -202,15 +212,33 @@ def _set_dotted(raw: dict, dotted: str, value):
     node[parts[-1]] = yaml.safe_load(value) if isinstance(value, str) else value
 
 
+def _typed_numbers(cfg: RunConfig, errors: list) -> set:
+    """Names of the numeric fields whose value has the field's type; an
+    error for each other one."""
+    typed = set()
+    for fields, integer, optional in ((INT_FIELDS, True, False),
+                                      (OPTIONAL_INT_FIELDS, True, True),
+                                      (FLOAT_FIELDS, False, False)):
+        for section, key in fields:
+            value = getattr(getattr(cfg, section), field_attr(section, key))
+            name = f"{section}.{key}"
+            if _is_int(value) if integer else _is_number(value):
+                typed.add(name)
+            elif not (optional and value is None):
+                errors.append(f"{name}: must be {'an integer' if integer else 'a number'}")
+    return typed
+
+
 def _validate(cfg: RunConfig) -> list:
     errors = []
-    if not isinstance(cfg.seed, int):
+    typed = _typed_numbers(cfg, errors)
+    if not _is_int(cfg.seed):
         errors.append("seed: must be an integer")
     if cfg.model.family not in FAMILIES:
         errors.append(f"model.family: must be one of {FAMILIES}")
     if cfg.model.target not in KINDS:
         errors.append(f"model.target: must be one of {tuple(KINDS)}")
-    if cfg.model.target == "ar" and cfg.model.p < 1:
+    if cfg.model.target == "ar" and "model.p" in typed and cfg.model.p < 1:
         errors.append("model.p: must be >= 1 for the ar target")
     if cfg.model.family == "baseline":
         if cfg.model.target not in baselines.TARGETS:
@@ -226,22 +254,22 @@ def _validate(cfg: RunConfig) -> list:
     for name in cfg.features.calendar:
         if name not in CALENDAR_NAMES:
             errors.append(f"features.calendar: unknown feature {name!r}")
-    if cfg.eval.horizon < 1:
-        errors.append("eval.horizon: must be >= 1")
-    if cfg.boosting.rounds < 0:
-        errors.append("boosting.rounds: must be >= 0")
-    if not 0 < cfg.boosting.learning_rate <= 1:
-        errors.append("boosting.learning_rate: must be in (0, 1]")
-    if cfg.boosting.lam < 0:
-        errors.append("boosting.lambda: must be >= 0")
-    if cfg.boosting.max_depth < 0:
-        errors.append("boosting.max_depth: must be >= 0")
-    if cfg.boosting.min_leaf < 1:
-        errors.append("boosting.min_leaf: must be >= 1")
-    if cfg.net.d < 1:
-        errors.append("net.d: must be >= 1")
-    if not 0 <= cfg.net.dropout < 1:
-        errors.append("net.dropout: must be in [0, 1)")
+    ranges = (
+        ("eval.horizon", lambda: cfg.eval.horizon >= 1, ">= 1"),
+        ("boosting.rounds", lambda: cfg.boosting.rounds >= 0, ">= 0"),
+        ("boosting.learning_rate", lambda: 0 < cfg.boosting.learning_rate <= 1, "in (0, 1]"),
+        ("boosting.lambda", lambda: cfg.boosting.lam >= 0, ">= 0"),
+        ("boosting.max_depth", lambda: cfg.boosting.max_depth >= 0, ">= 0"),
+        ("boosting.min_leaf", lambda: cfg.boosting.min_leaf >= 1, ">= 1"),
+        ("net.d", lambda: cfg.net.d >= 1, ">= 1"),
+        ("net.dropout", lambda: 0 <= cfg.net.dropout < 1, "in [0, 1)"),
+    )
+    for name, in_range, must in ranges:
+        if name in typed and not in_range():
+            errors.append(f"{name}: must be {must}")
+    if not (isinstance(cfg.net.betas, (list, tuple)) and len(cfg.net.betas) == 2
+            and all(_is_number(b) for b in cfg.net.betas)):
+        errors.append("net.betas: must be a pair of numbers")
     if cfg.net.flow not in ("separate", "shared"):
         errors.append("net.flow: must be separate or shared")
     if cfg.net.encoder not in ("trees", "features"):
@@ -256,9 +284,17 @@ def _validate(cfg: RunConfig) -> list:
     return errors
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _in_unit(value) -> bool:
     """A number in (0, 1]."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value <= 1
+    return _is_number(value) and 0 < value <= 1
 
 
 def apply_ablations(cfg: RunConfig) -> RunConfig:
@@ -271,7 +307,7 @@ def apply_ablations(cfg: RunConfig) -> RunConfig:
         cfg.net.hidden = 256
     if ab.get("a4"):
         cfg.net.use_projection = False
-    if ab.get("a5"):
+    if ab.get("a5") and _is_int(cfg.model.p):  # a mistyped p is reported by validation
         cfg.model.p = max(1, math.ceil(2 * cfg.model.p / 3))
     if ab.get("a6"):
         cfg.features.summary = False

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boosting import TreeEnsemble, TreeParams, tree_values
+from .boosting import SplitMatrix, TreeEnsemble, TreeParams, tree_values
 from .data import PanelDataset, feature_matrix, future_panel
 from .errors import NumericError, SchemaError
 from .targets import Objective, TargetSpec
@@ -136,6 +136,7 @@ def train(ds: PanelDataset, spec: TargetSpec, config: BoostConfig,
     """Fit one ensemble per parameter by Newton boosting on the target loss."""
     recipe = recipe or FeatureRecipe()
     fs = recipe.build(ds)
+    matrix = SplitMatrix(fs.X, fs.kinds)  # shared by every tree of the fit
     objective = Objective(ds, spec)
     P = spec.param_count
     base = spec.target.base(ds)
@@ -151,8 +152,7 @@ def train(ds: PanelDataset, spec: TargetSpec, config: BoostConfig,
         if not math.isfinite(loss):
             raise NumericError(f"non-finite training loss at round {rnd}")
         for j in range(P):
-            tree = ensembles[j].boost_round(fs.X, fs.kinds, g[:, j], h[:, j],
-                                            counts, log.notes)
+            tree = ensembles[j].boost_round(matrix, g[:, j], h[:, j], counts, log.notes)
             raw[:, j] += config.learning_rate * tree_values(tree, fs.X)
         loss, g, h, _ = objective.evaluate(raw)
         log.append(rnd, loss / objective.n_weight, time.perf_counter() - t0)

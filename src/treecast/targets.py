@@ -48,7 +48,7 @@ import numpy as np
 
 from .boosting import HESS_FLOOR
 from .data import build_lags, pad_for_ets
-from .errors import NumericError
+from .errors import DataError, NumericError
 
 SIG_EPS = 1e-6     # keeps smoothing parameters strictly inside their domain
 GUARD_EPS = 1e-8   # multiplicative recursion positivity guard
@@ -110,6 +110,17 @@ def _sigmoid(x):
 # --------------------------------------------------------------------------
 # autoregressive kernel
 # --------------------------------------------------------------------------
+
+def ar_history(ds, i: int, p: int) -> np.ndarray:
+    """The observed values of series i, at least the p that seed an AR(p)
+    forecast; a shorter series is a data error naming it."""
+    rows = ds.rows_of(i)
+    history = ds.y[rows][ds.mask[rows]]
+    if len(history) < p:
+        raise DataError(f"series {ds.series[i].series_id!r}: an AR({p}) forecast needs "
+                        f"{p} observed values, got {len(history)}")
+    return history
+
 
 def ar_forecast_recursive(theta_future: np.ndarray, history, h: int,
                           intercept: float = 0.0) -> np.ndarray:
@@ -588,8 +599,7 @@ class ArTarget(Target):
         return state[0]
 
     def forecast(self, values, ds, i, t_future, state):
-        rows = ds.rows_of(i)
-        return ar_forecast_recursive(values, ds.y[rows][ds.mask[rows]], len(values))
+        return ar_forecast_recursive(values, ar_history(ds, i, self.spec.p), len(values))
 
 
 class SmoothingTarget(Target):

@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from .boosting import HESS_FLOOR, TreeEnsemble, tree_values
+from .boosting import HESS_FLOOR, SplitMatrix, TreeEnsemble, tree_values
 from .data import PanelDataset
 from .errors import NumericError
 from .hypertree import BoostConfig, FeatureRecipe, HyperTreeModel, TrainLog
@@ -326,6 +326,7 @@ def train(ds: PanelDataset, spec: TargetSpec, boost_cfg: BoostConfig,
     if net_cfg.encoder == "trees":
         ensembles = [TreeEnsemble(params, base=0.0, n_features=fs.n_features)
                      for _ in range(d)]
+        matrix = SplitMatrix(fs.X, fs.kinds)  # shared by every tree of the fit
         E = np.zeros((ds.n_rows, d))
     else:
         feat_center = fs.X.mean(axis=0)
@@ -373,8 +374,8 @@ def train(ds: PanelDataset, spec: TargetSpec, boost_cfg: BoostConfig,
             else:
                 ge, he = ge_he
             for j in range(d):
-                tree = ensembles[j].boost_round(fs.X, fs.kinds, ge[:, j], he[:, j],
-                                                counts, log.notes)
+                tree = ensembles[j].boost_round(matrix, ge[:, j], he[:, j], counts,
+                                                log.notes)
                 E[:, j] += boost_cfg.learning_rate * tree_values(tree, fs.X)
         log.append(it, loss / n_w, time.perf_counter() - t0)
     return model, log

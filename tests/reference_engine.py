@@ -4,6 +4,8 @@ Each node sorts every numeric column and cumsums g, h and the count weight
 along it; each categorical column orders the node's codes by G/H and scans
 prefixes.  The tie rule is the engine's: among candidates within TIE_RTOL of
 the node's best gain, the lowest feature id wins, then the lowest threshold.
+A constant leaf sums its g and h in row order, one addition at a time, as
+the engine's bincount does, so leaf values match with float gradients too.
 Tests compare ``treecast.boosting.grow_tree`` against it.
 """
 
@@ -17,6 +19,10 @@ def _prefix_gains(GL, HL, CL, G, H, C, lam, min_leaf):
     with np.errstate(divide="ignore", invalid="ignore"):
         gains = GL * GL / (HL + lam) + GR * GR / (HR + lam) - G * G / (H + lam)
     return np.where((CL >= min_leaf) & (CR >= min_leaf), gains, -np.inf)
+
+
+def row_order_sum(v):
+    return float(np.cumsum(v)[-1]) if len(v) else 0.0
 
 
 def numeric_candidates(v, g, h, c, lam, min_leaf):
@@ -93,6 +99,6 @@ def reference_grow_tree(X, kinds, g, h, idx, params, counts=None, log=None):
             if lin_fids:
                 return Leaf(b0, intercept=b0, lin_features=lin_fids, lin_coef=coef)
             return Leaf(b0)
-        return Leaf(leaf_weight(gg.sum(), hh.sum(), params.lam))
+        return Leaf(leaf_weight(row_order_sum(gg), row_order_sum(hh), params.lam))
 
     return build(np.asarray(idx), 0, frozenset())

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treecast.boosting import (HESS_FLOOR, Leaf, Split, TreeEnsemble, TreeParams,
-                               fit_linear_leaf, floor_hessian, grow_tree, leaf_weight,
-                               split_gain)
+from treecast.boosting import (HESS_FLOOR, Leaf, Split, SplitMatrix, TreeEnsemble,
+                               TreeParams, fit_linear_leaf, floor_hessian, grow_tree,
+                               leaf_weight, split_gain)
 from treecast.errors import NumericError
 
 
@@ -166,7 +166,7 @@ class TestEnsemble:
         h = np.ones(30)
         ens = TreeEnsemble(TreeParams(learning_rate=0.0, lam=1.0), n_features=2)
         before = ens.predict(X)
-        ens.boost_round(X, ("num", "num"), g, h)
+        ens.boost_round(SplitMatrix(X, ("num", "num")), g, h)
         assert np.array_equal(ens.predict(X), before)
 
     def test_schema_error_on_wrong_feature_count(self):
@@ -182,7 +182,7 @@ class TestEnsemble:
         g = rng.normal(size=50)
         h = np.ones(50)
         ens = TreeEnsemble(params(lam=1.0), n_features=2)
-        ens.boost_round(X, ("num", "num"), g, h)
+        ens.boost_round(SplitMatrix(X, ("num", "num")), g, h)
         perm = rng.permutation(50)
         assert np.array_equal(ens.predict(X)[perm], ens.predict(X[perm]))
 
@@ -201,7 +201,7 @@ class TestEnsemble:
             pred = ens.predict(X)
             g = 2.0 * (pred - y)
             h = np.full(80, 2.0)
-            ens.boost_round(X, ("num", "num"), g, h)
+            ens.boost_round(SplitMatrix(X, ("num", "num")), g, h)
             losses.append(mse())
         assert losses[1] < losses[0]
         assert losses[2] < losses[1]
@@ -212,13 +212,14 @@ class TestEnsemble:
         y = np.sin(6 * X[:, 0]) + X[:, 1]
         ens = TreeEnsemble(TreeParams(learning_rate=0.3, lam=1.0, max_depth=4,
                                       min_leaf=5), n_features=2)
+        matrix = SplitMatrix(X, ("num", "num"))
         prev = np.inf
         for _ in range(50):
             pred = ens.predict(X)
             loss = float(np.mean((pred - y) ** 2))
             assert loss <= prev + 1e-12
             prev = loss
-            ens.boost_round(X, ("num", "num"), 2.0 * (pred - y), np.full(60, 2.0))
+            ens.boost_round(matrix, 2.0 * (pred - y), np.full(60, 2.0))
 
     def test_determinism_bit_identical(self):
         def build():
@@ -226,9 +227,10 @@ class TestEnsemble:
             X = rng.normal(size=(40, 3))
             y = rng.normal(size=40)
             ens = TreeEnsemble(params(lam=1.0), n_features=3)
+            matrix = SplitMatrix(X, ("num", "num", "num"))
             for _ in range(5):
                 pred = ens.predict(X)
-                ens.boost_round(X, ("num", "num", "num"), 2 * (pred - y), np.full(40, 2.0))
+                ens.boost_round(matrix, 2 * (pred - y), np.full(40, 2.0))
             return json.dumps(ens.to_dict())
 
         assert build() == build()
@@ -239,9 +241,10 @@ class TestEnsemble:
         y = rng.normal(size=40)
         ens = TreeEnsemble(TreeParams(lam=0.7, learning_rate=0.13, max_depth=3,
                                       min_leaf=2), n_features=2)
+        matrix = SplitMatrix(X, ("num", "num"))
         for _ in range(4):
             pred = ens.predict(X)
-            ens.boost_round(X, ("num", "num"), 2 * (pred - y), np.full(40, 2.0))
+            ens.boost_round(matrix, 2 * (pred - y), np.full(40, 2.0))
         text = json.dumps(ens.to_dict())
         back = TreeEnsemble.from_dict(json.loads(text))
         assert np.array_equal(ens.predict(X), back.predict(X))
@@ -285,7 +288,8 @@ class TestLinearLeaf:
                                       min_leaf=5, linear_leaves=True,
                                       linear_ridge=1e-10), n_features=1)
         pred = ens.predict(x.reshape(-1, 1))
-        ens.boost_round(x.reshape(-1, 1), ("num",), 2 * (pred - y), np.full(20, 2.0))
+        ens.boost_round(SplitMatrix(x.reshape(-1, 1), ("num",)), 2 * (pred - y),
+                        np.full(20, 2.0))
         pred = ens.predict(x.reshape(-1, 1))
         assert np.allclose(pred, y, atol=1e-6)
 

@@ -1,0 +1,71 @@
+"""The call contract of the traced benchmark, checked in Tier-1.
+
+In a traced run, ``perfbench/child.py:expected_calls`` requires training to
+call ``TreeEnsemble.boost_round`` and ``boosting.tree_values`` once per round
+and ensemble; the tracer counts the calls and fails the run when they
+differ.  Growing the trees of a round in one call, or updating predictions
+from a leaf cache instead of re-walking each new tree, breaks that count,
+so such a change must update the benchmark first.  These tests fail here
+rather than only in a traced benchmark run.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+
+from treecast import boosting, hypertree, treenet
+from treecast.data import build_lags
+from treecast.hypertree import BoostConfig
+from treecast.targets import TargetSpec
+from treecast.treenet import NetConfig
+
+from conftest import make_panel
+
+ROUNDS = 3
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of boost_round and tree_values calls, with tree_values replaced
+    at every treecast module that binds it."""
+    counts = {"boost_round": 0, "tree_values": 0}
+    boost_round, tree_values = boosting.TreeEnsemble.boost_round, boosting.tree_values
+
+    def counted_boost_round(self, *args, **kwargs):
+        counts["boost_round"] += 1
+        return boost_round(self, *args, **kwargs)
+
+    def counted_tree_values(*args, **kwargs):
+        counts["tree_values"] += 1
+        return tree_values(*args, **kwargs)
+
+    monkeypatch.setattr(boosting.TreeEnsemble, "boost_round", counted_boost_round)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("treecast") and getattr(module, "tree_values", None) is tree_values:
+            monkeypatch.setattr(module, "tree_values", counted_tree_values)
+    return counts
+
+
+def panel(p):
+    rng = np.random.default_rng(0)
+    t = np.arange(60)
+    series = {sid: 50 + 0.3 * t + 8 * np.sin(2 * np.pi * t / 12 + k) + rng.normal(0, 1, 60)
+              for k, sid in enumerate(("a", "b"))}
+    return build_lags(make_panel(series), p)
+
+
+def test_hypertree_one_call_each_per_round_and_parameter(calls):
+    spec = TargetSpec(kind="ar", p=3)
+    hypertree.train(panel(3), spec, BoostConfig(rounds=ROUNDS, max_depth=2))
+    assert spec.param_count > 1
+    expected = ROUNDS * spec.param_count
+    assert calls == {"boost_round": expected, "tree_values": expected}
+
+
+def test_treenet_one_call_each_per_round_and_dimension(calls):
+    net = NetConfig(d=2, hidden=8)
+    treenet.train(panel(3), TargetSpec(kind="ar", p=3), BoostConfig(rounds=ROUNDS, max_depth=2),
+                  net, seed=0)
+    expected = ROUNDS * net.d
+    assert calls == {"boost_round": expected, "tree_values": expected}

@@ -583,3 +583,59 @@ class TestErrorsNameTheSeries:
         res = runner.invoke(main, ["train", cfg, "--out", str(tmp_path / "b")])
         assert res.exit_code == 3, res.output
         assert f"series '{sid}': {message}" in res.output
+
+
+AR_CONFIG = str(Path(__file__).resolve().parent.parent / "configs/air_passengers_ar.yaml")
+
+
+class TestConfigTypes:
+    """A numeric field of the wrong type exits 2 naming the field; the data
+    path does not exist, so the config is rejected before data is read."""
+
+    @pytest.mark.parametrize("overrides, message", [
+        (["boosting.learning_rate=abc"], "boosting.learning_rate: must be a number"),
+        (["model.p=abc"], "model.p: must be an integer"),
+        (["model.p=abc", "ablations.a5=true"], "model.p: must be an integer"),
+        (["boosting.rounds=2.5"], "boosting.rounds: must be an integer"),
+        (["boosting.min_leaf=true"], "boosting.min_leaf: must be an integer"),
+        (["boosting.lambda=false"], "boosting.lambda: must be a number"),
+        (["eval.horizon=[12]"], "eval.horizon: must be an integer"),
+        (["model.m=monthly"], "model.m: must be an integer"),
+        (["net.dropout=abc"], "net.dropout: must be a number"),
+        (["net.betas=0.9"], "net.betas: must be a pair of numbers"),
+    ])
+    def test_wrong_type_exit_2(self, runner, tmp_path, overrides, message):
+        args = ["train", AR_CONFIG, "--set", f"data.path={tmp_path / 'missing.csv'}",
+                "--out", str(tmp_path / "b")]
+        for override in overrides:
+            args += ["--set", override]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert message in res.output
+        assert "Traceback" not in res.output
+
+    def test_int_for_a_float_field_accepted(self, runner, tmp_path):
+        res = runner.invoke(main, ["train", AR_CONFIG, "--set", "boosting.rounds=2",
+                                   "--set", "boosting.lambda=2", "--set", "boosting.learning_rate=1",
+                                   "--out", str(tmp_path / "b")])
+        assert res.exit_code == 0, res.output
+
+
+class TestShortHistory:
+    """Forecasting a series with fewer observations than the AR order exits 3
+    naming the series."""
+
+    @pytest.mark.parametrize("family", ["hypertree", "baseline"])
+    def test_ar_forecast_exit_3(self, runner, tmp_path, family):
+        bundle = tmp_path / "b"
+        res = runner.invoke(main, ["train", AR_CONFIG, "--set", "boosting.rounds=2",
+                                   "--set", f"model.family={family}", "--out", str(bundle)])
+        assert res.exit_code == 0, res.output
+        bundled = Path(__file__).resolve().parent.parent / "src/treecast/bundled/air_passengers.csv"
+        short = tmp_path / "short.csv"
+        short.write_text("".join(bundled.read_text().splitlines(keepends=True)[:6]))
+        res = runner.invoke(main, ["forecast", "--bundle", str(bundle), "--data", str(short),
+                                   "--out", str(tmp_path / "fc.csv")])
+        assert res.exit_code == 3, res.output
+        assert ("series 'AirPassengers': an AR(12) forecast needs 12 observed values, got 5"
+                in res.output)

@@ -1,12 +1,14 @@
 """The level-wise split engine against the node-by-node reference engine."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treecast import boosting
-from treecast.boosting import (DENSE_ROWS_PER_VALUE, TIE_RTOL, Leaf, Split, TreeParams,
-                               grow_tree)
+from treecast.boosting import (DENSE_ROWS_PER_VALUE, TIE_RTOL, Leaf, Split, SplitMatrix,
+                               TreeEnsemble, TreeParams, grow_tree)
 from treecast.errors import NumericError
 
 from reference_engine import best_gain, numeric_candidates, reference_grow_tree
@@ -119,10 +121,84 @@ class TestOracle:
                 assert_same_tree(new, ref)
 
 
+def same_splits_and_leaves(a, b):
+    """Features, thresholds, codes and leaf values equal; gains returned in
+    preorder, split by split, as (a's gain, b's gain)."""
+    if isinstance(a, Leaf):
+        assert isinstance(b, Leaf)
+        assert (a.weight, a.intercept, a.lin_features, a.lin_coef) == \
+            (b.weight, b.intercept, b.lin_features, b.lin_coef)
+        return []
+    assert isinstance(b, Split)
+    assert (a.feature, a.kind, a.threshold, a.codes) == (b.feature, b.kind, b.threshold, b.codes)
+    return ([(a.gain, b.gain)] + same_splits_and_leaves(a.left, b.left)
+            + same_splits_and_leaves(a.right, b.right))
+
+
+class TestSharedMatrix:
+    """Several rounds of fresh g/h grown through one SplitMatrix, as the
+    trainers do, against the reference engine.  Two columns are appended so
+    that a sorted categorical and a sorted numeric column are always scanned;
+    a small _GRID_CELLS splits every depth into batches and chunks."""
+
+    @staticmethod
+    def rounds(seed, integer_grads, cells):
+        X, kinds, _, _, counts, params = random_panel(seed, integer_grads)
+        rng = np.random.default_rng([seed, 1])
+        n = len(X)
+        X = np.column_stack([X, rng.integers(0, max(2, n // 2), n),
+                             np.round(rng.normal(size=n), 2)])
+        kinds = kinds + ("cat", "num")
+        matrix = SplitMatrix(X, kinds)
+        assert set(matrix.sparse) >= {len(kinds) - 2, len(kinds) - 1}
+        ensemble = TreeEnsemble(params)
+        for _ in range(3):
+            if integer_grads:
+                g = rng.integers(-6, 7, n).astype(np.float64)
+                h = rng.integers(1, 4, n).astype(np.float64)
+            else:
+                g = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+                h = rng.uniform(0.05, 3.0, n)
+            g[counts == 0] = 0.0
+            h[counts == 0] = 0.0
+            trees = []
+            for grow in (lambda: ensemble.boost_round(matrix, g, h, counts, []),
+                         lambda: reference_grow_tree(X, kinds, g, h, np.arange(n), params,
+                                                     counts, [])):
+                try:
+                    with mock.patch.object(boosting, "_GRID_CELLS", cells):
+                        trees.append(grow())
+                except NumericError as exc:
+                    trees.append(type(exc))
+            yield trees, g, h
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([boosting._GRID_CELLS, 64]))
+    @settings(max_examples=150, deadline=None)
+    def test_integer_gradients_give_identical_trees(self, seed, cells):
+        for (new, ref), _, _ in self.rounds(seed, True, cells):
+            if new is NumericError or ref is NumericError:
+                assert new is ref
+            else:
+                assert_same_tree(new, ref)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([boosting._GRID_CELLS, 64]))
+    @settings(max_examples=150, deadline=None)
+    def test_float_gradients_give_the_same_splits(self, seed, cells):
+        for (new, ref), g, h in self.rounds(seed, False, cells):
+            if new is NumericError or ref is NumericError:
+                assert new is ref
+                continue
+            for got, want in same_splits_and_leaves(new, ref):
+                # as in test_float_gradients_choose_the_best_gain, up to the
+                # rounding of the parent's terms (bounded here by the root's)
+                scale = abs(want) + g.sum() ** 2 / h.sum()
+                assert abs(got - want) <= TIE_RTOL * abs(want) + 1e-14 * scale
+
+
 def test_cardinality_rule_picks_the_scan_path():
-    X, kinds, g, h, counts, params = random_panel(3, integer_grads=True)
-    grower = boosting._LevelGrower(X, kinds, g, h, counts, np.arange(len(g)), params)
-    assert 0 in grower.dense and 1 in grower.sparse
+    X, kinds, *_ = random_panel(3, integer_grads=True)
+    matrix = SplitMatrix(X, kinds)
+    assert 0 in matrix.dense and 1 in matrix.sparse
 
 
 def _tie_gradients(rng, left):
@@ -166,7 +242,6 @@ class TestTieBreak:
         assert gains[0] < gains[1]
         for cols in ((a, b), (b, a)):
             X = np.column_stack(cols)
-            grower = boosting._LevelGrower(X, ("num", "num"), g, h, h, np.arange(n), params)
-            assert list(grower.sparse) == [0, 1]
+            assert list(SplitMatrix(X, ("num", "num")).sparse) == [0, 1]
             tree = grow_tree(X, ("num", "num"), g, h, np.arange(n), params)
             assert (tree.feature, tree.threshold) == (0, n // 2 - 0.5)
