@@ -140,25 +140,22 @@ class BaselineModel:
     ``parameters(ds)`` spreads them over a panel's rows as the tree models'
     predictions are."""
 
-    def __init__(self, target: str, p: int, m: int, intercept: bool,
-                 per_series: dict, params: dict | None):
-        self.target = target
-        self.p = p
-        self.m = m
+    def __init__(self, spec: TargetSpec, intercept: bool, per_series: dict,
+                 params: dict | None):
+        self.spec = spec
         self.intercept = intercept
         self.per_series = per_series    # ar: {sid: {"coefficients": [...], "intercept": x}}
         self.params = params            # smoothing: {"alpha": c, ...}
-        self.spec = TargetSpec(kind=target, p=p, m=m)
 
     @classmethod
     def smoothing(cls, spec: TargetSpec, value: float) -> "BaselineModel":
         """Every parameter of the smoothing target ``spec`` held at ``value``."""
-        return cls(spec.kind, 0, spec.m, False, {}, {n: value for n in spec.param_names})
+        return cls(spec, False, {}, {n: value for n in spec.param_names})
 
     def parameters(self, ds: PanelDataset) -> np.ndarray:
         """(N, P) parameters of the panel's rows: the smoothing constants,
         or the AR coefficients of each row's series."""
-        if self.target != "ar":
+        if self.spec.kind != "ar":
             row = np.array([self.params[n] for n in self.spec.param_names], dtype=np.float64)
             return np.tile(row, (ds.n_rows, 1))
         coef = []
@@ -172,9 +169,7 @@ class BaselineModel:
     def to_dict(self):
         return {
             "family": "baseline",
-            "target": self.target,
-            "p": self.p,
-            "m": self.m,
+            "spec": self.spec.to_dict(),
             "intercept": self.intercept,
             "per_series": self.per_series,
             "params": self.params,
@@ -182,8 +177,8 @@ class BaselineModel:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(d["target"], d["p"], d["m"], d["intercept"],
-                   d["per_series"], d["params"])
+        return cls(TargetSpec.from_dict(d["spec"]), d["intercept"], d["per_series"],
+                   d["params"])
 
 
 def train_baseline(ds: PanelDataset, cfg) -> BaselineModel:
@@ -204,20 +199,20 @@ def train_baseline(ds: PanelDataset, cfg) -> BaselineModel:
             "coefficients": [float(c) for c in ols.coefficients],
             "intercept": ols.intercept,
         }
-    return BaselineModel("ar", spec.p, spec.m, cfg.model.intercept, per_series, None)
+    return BaselineModel(spec, cfg.model.intercept, per_series, None)
 
 
 def forecast_baseline(model: BaselineModel, ds: PanelDataset, h: int) -> dict:
     """Per-series h-step forecasts.  A smoothing baseline forecasts through
     its target like any parameter-producing model; the AR baseline runs the
     AR recursion with each series' OLS intercept."""
-    if model.target != "ar":
+    if model.spec.kind != "ar":
         return hypertree.forecast(model, ds, h)
     fut = future_panel(ds, h)
     theta = model.parameters(fut)
     out = {}
     for i, s in enumerate(ds.series):
-        fc = ar_forecast_recursive(theta[fut.rows_of(i)], ar_history(ds, i, model.p), h,
+        fc = ar_forecast_recursive(theta[fut.rows_of(i)], ar_history(ds, i, model.spec.p), h,
                                    model.per_series[s.series_id]["intercept"] or 0.0)
         out[s.series_id] = (fc, list(fut.series[i].timestamps))
     return out

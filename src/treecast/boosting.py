@@ -31,7 +31,7 @@ order as well as of evaluation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -65,13 +65,25 @@ def split_gain(GL: float, HL: float, GR: float, HR: float, lam: float) -> float:
 
 
 @dataclass
-class TreeParams:
+class BoostConfig:
+    """The boosting section: how many rounds, and how each tree is grown.
+
+    A field's ``key`` metadata names it in config files and ensemble files
+    where the attribute name cannot (``lambda`` is a Python keyword).
+    """
+
+    rounds: int = 100
     learning_rate: float = 0.1
-    lam: float = 1.0
+    lam: float = field(default=1.0, metadata={"key": "lambda"})
     max_depth: int = 6
     min_leaf: int = 5
     linear_leaves: bool = False
     linear_ridge: float = 1e-6
+
+
+# (file key, attribute) of the settings an ensemble file records: all but rounds
+_TREE_SETTINGS = tuple((f.metadata.get("key", f.name), f.name)
+                       for f in fields(BoostConfig) if f.name != "rounds")
 
 
 class Leaf:
@@ -244,7 +256,7 @@ class _LevelGrower:
     gather per depth.
     """
 
-    def __init__(self, matrix: SplitMatrix, g, h, counts, params: TreeParams):
+    def __init__(self, matrix: SplitMatrix, g, h, counts, params: BoostConfig):
         self.mx = matrix
         self.params = params
         self.g, self.h, self.c = g, h, counts
@@ -534,14 +546,14 @@ class _LevelGrower:
         return Leaf(b0)
 
 
-def _grow(matrix: SplitMatrix, g, h, counts, params: TreeParams, log):
+def _grow(matrix: SplitMatrix, g, h, counts, params: BoostConfig, log):
     if counts is None:
         counts = np.ones(len(g))
     with np.errstate(divide="ignore", invalid="ignore"):
         return _LevelGrower(matrix, g, h, counts, params).grow(log)
 
 
-def grow_tree(X, kinds, g, h, idx, params: TreeParams, counts=None, log=None):
+def grow_tree(X, kinds, g, h, idx, params: BoostConfig, counts=None, log=None):
     """Grow one tree by greedy gain maximization, level by level.
 
     ``idx`` selects the training rows; ``counts`` (0/1 per row) says which
@@ -591,7 +603,7 @@ class TreeEnsemble:
     immutable for prediction purposes and shareable across threads.
     """
 
-    def __init__(self, params: TreeParams, base: float = 0.0, n_features: int | None = None):
+    def __init__(self, params: BoostConfig, base: float = 0.0, n_features: int | None = None):
         self.params = params
         self.base = base
         self.n_features = n_features
@@ -628,25 +640,14 @@ class TreeEnsemble:
         return {
             "base": self.base,
             "n_features": self.n_features,
-            "learning_rate": self.params.learning_rate,
-            "lambda": self.params.lam,
-            "max_depth": self.params.max_depth,
-            "min_leaf": self.params.min_leaf,
-            "linear_leaves": self.params.linear_leaves,
-            "linear_ridge": self.params.linear_ridge,
+            **{key: getattr(self.params, attr) for key, attr in _TREE_SETTINGS},
             "trees": [_node_to_dict(t) for t in self.trees],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "TreeEnsemble":
-        params = TreeParams(
-            learning_rate=d["learning_rate"],
-            lam=d["lambda"],
-            max_depth=d["max_depth"],
-            min_leaf=d["min_leaf"],
-            linear_leaves=d["linear_leaves"],
-            linear_ridge=d["linear_ridge"],
-        )
+        params = BoostConfig(rounds=len(d["trees"]),
+                             **{attr: d[key] for key, attr in _TREE_SETTINGS})
         ens = cls(params, base=d["base"], n_features=d["n_features"])
         ens.trees = [_node_from_dict(t) for t in d["trees"]]
         return ens

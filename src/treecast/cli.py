@@ -6,6 +6,7 @@ Exit codes: 0 ok, 2 config error, 3 data error, 4 numeric failure.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import sys
 from pathlib import Path
@@ -15,11 +16,10 @@ import numpy as np
 
 from . import baselines, hypertree, treenet
 from . import bundle as bundle_io
-from .config import SECTION_FIELDS, RunConfig, config_from_dict, field_attr, load_config
+from .config import SCHEMA, RunConfig, config_from_dict, load_config
 from .data import PanelDataset, attach_summary, build_lags, future_panel, ingest_csv
 from .datasets import bundled_path, synthetic_panel
 from .errors import ConfigError, DataError, NumericError, SchemaError
-from .hypertree import BoostConfig
 from .metrics import aggregate, series_metrics
 from .targets import TargetSpec
 
@@ -68,9 +68,9 @@ def prepare_dataset(cfg: RunConfig, path: str | None = None,
 def _config_echo(cfg: RunConfig) -> dict:
     """The effective configuration in file layout, as bundles record it."""
     echo = {"seed": cfg.seed}
-    for section, keys in SECTION_FIELDS.items():
+    for section, schema in SCHEMA.items():
         obj = getattr(cfg, section)
-        echo[section] = {key: getattr(obj, field_attr(section, key)) for key in keys}
+        echo[section] = {key: getattr(obj, fld.attr) for key, fld in schema.items()}
     return echo
 
 
@@ -294,11 +294,7 @@ def run_scaling_benchmark(cfg: RunConfig, p_values, n_rows, iterations, seed,
 
     def one_run(family, P, rounds):
         spec = TargetSpec(kind="ar", p=P)
-        bcfg = BoostConfig(rounds=rounds,
-                           learning_rate=cfg.boosting.learning_rate,
-                           lam=cfg.boosting.lam,
-                           max_depth=cfg.boosting.max_depth,
-                           min_leaf=cfg.boosting.min_leaf)
+        bcfg = dataclasses.replace(cfg.boosting, rounds=rounds)
         if family == "hypertree":
             _, log = hypertree.train(datasets[P], spec, bcfg, cfg.recipe())
         else:

@@ -1,25 +1,36 @@
 """Run configuration: YAML file, validation, ablation switches, overrides.
 
+Each section of a config file is a dataclass, and its fields are the one
+place where a field's name, order, type and allowed values are written.
+``SCHEMA`` is derived from them once, at import: the field's annotation is
+its type (``int`` excludes bool, ``float`` accepts an int, a tuple field
+takes a list from the file), a ``Literal`` lists the allowed values, and a
+``key`` in the field's metadata names it in the file where the attribute
+name cannot.  The file layout (``SECTION_FIELDS``), the type check of every
+field and a bundle's config echo all read ``SCHEMA``.
+
 Precedence: defaults < config file < --set command-line overrides; ablation
 switches are applied last since each one rewrites exactly one field, and
-validation checks the result.
+validation checks the result: every field's type, then the ranges and the
+rules that span fields.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from types import UnionType
+from typing import Callable, Literal, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
 from . import baselines
+from .boosting import BoostConfig
 from .data import CALENDAR_NAMES, FREQUENCIES, seasonal_period
 from .errors import ConfigError
-from .hypertree import BoostConfig, FeatureRecipe
-from .targets import KINDS, TargetSpec
+from .hypertree import FeatureRecipe
+from .targets import KINDS, Damping, TargetSpec
 from .treenet import NetConfig
-
-FAMILIES = ("hypertree", "treenet", "baseline")
 
 ABLATIONS = {
     "a1": "net.d = 5 (wider tree embeddings)",
@@ -39,9 +50,9 @@ ABLATIONS = {
 @dataclass
 class DataConfig:
     path: str = ""
-    frequency: str | None = None
-    categorical: list = field(default_factory=list)
-    numeric: list = field(default_factory=list)
+    frequency: Literal[FREQUENCIES] | None = None    # None: inferred from the stamps
+    categorical: list[str] = field(default_factory=list)
+    numeric: list[str] = field(default_factory=list)
 
     def schema(self) -> dict:
         out = {"categorical": self.categorical, "numeric": self.numeric}
@@ -52,20 +63,20 @@ class DataConfig:
 
 @dataclass
 class FeaturesConfig:
-    calendar: list = field(default_factory=lambda: list(CALENDAR_NAMES))
+    calendar: list[str] = field(default_factory=lambda: list(CALENDAR_NAMES))
     summary: bool = True
 
 
 @dataclass
 class ModelConfig:
-    family: str = "hypertree"
-    target: str = "ar"
+    family: Literal["hypertree", "treenet", "baseline"] = "hypertree"
+    target: str = "ar"            # a key of targets.KINDS
     p: int = 12
     m: int | None = None          # seasonal period; defaults by frequency
     n_season: int = 1
     period: int = 12
     penalty: float = 1.0
-    damping: str = "power"
+    damping: Damping = "power"
     grid_search: bool = False     # baseline smoothing only
     fixed_value: float = 0.3
     intercept: bool = False       # baseline AR only
@@ -110,43 +121,65 @@ class RunConfig:
         )
 
 
-SECTION_FIELDS = {  # file layout; also the order of a bundle's config echo
-    "data": ("path", "frequency", "categorical", "numeric"),
-    "features": ("calendar", "summary"),
-    "model": ("family", "target", "p", "m", "n_season", "period", "penalty",
-              "damping", "grid_search", "fixed_value", "intercept"),
-    "boosting": ("rounds", "learning_rate", "lambda", "max_depth", "min_leaf",
-                 "linear_leaves", "linear_ridge"),
-    "net": ("d", "k", "hidden", "dropout", "lr", "betas", "flow", "use_projection",
-            "encoder"),
-    "eval": ("horizon", "reference_path", "average_parameters"),
+class ConfigField(NamedTuple):
+    name: str                     # section.key, as errors name it
+    attr: str                     # attribute on the section object
+    check: Callable               # value -> whether it has the field's type
+    must: str                     # what the type is, for the error message
+    is_tuple: bool                # a list from the file becomes a tuple
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_SCALARS = {  # annotation: (check, one value, several values)
+    bool: (lambda v: isinstance(v, bool), "a boolean", "booleans"),
+    int: (_is_int, "an integer", "integers"),
+    float: (_is_number, "a number", "numbers"),
+    str: (lambda v: isinstance(v, str), "a string", "strings"),
 }
 
 
-# numeric fields by type; ``None`` is allowed where marked optional.
-# model.fixed_value has its own check (baseline smoothing only).
-INT_FIELDS = (("model", "p"), ("model", "n_season"), ("model", "period"),
-              ("boosting", "rounds"), ("boosting", "max_depth"), ("boosting", "min_leaf"),
-              ("net", "d"), ("net", "hidden"), ("eval", "horizon"))
-OPTIONAL_INT_FIELDS = (("model", "m"), ("net", "k"))
-FLOAT_FIELDS = (("model", "penalty"), ("boosting", "learning_rate"), ("boosting", "lambda"),
-                ("boosting", "linear_ridge"), ("net", "dropout"), ("net", "lr"))
+def _type_check(hint) -> tuple:
+    """(check, description) of a field type annotation."""
+    origin, args = get_origin(hint), get_args(hint)
+    if hint in _SCALARS:
+        return _SCALARS[hint][:2]
+    if origin is Literal:
+        return (lambda v: v in args), f"one of {args}"
+    if origin in (Union, UnionType) and len(args) == 2 and type(None) in args:
+        check, must = _type_check(next(a for a in args if a is not type(None)))
+        return (lambda v: v is None or check(v)), f"{must} or null"
+    if origin is list and args[0] in _SCALARS:
+        check, _, many = _SCALARS[args[0]]
+        return (lambda v: isinstance(v, list) and all(map(check, v))), f"a list of {many}"
+    if origin is tuple and len(args) == 2 and args[0] is args[1] and args[0] in _SCALARS:
+        check, _, many = _SCALARS[args[0]]
+        return ((lambda v: isinstance(v, tuple) and len(v) == 2 and all(map(check, v))),
+                f"a pair of {many}")
+    raise TypeError(f"config field type {hint!r} has no check")
 
 
-def field_attr(section: str, key: str) -> str:
-    """Attribute holding a config field (``lambda`` is a Python keyword)."""
-    return "lam" if (section, key) == ("boosting", "lambda") else key
+def _section_schema(section: str, cls) -> dict:
+    hints = get_type_hints(cls)
+    out = {}
+    for f in fields(cls):
+        key = f.metadata.get("key", f.name)
+        hint = hints[f.name]
+        out[key] = ConfigField(f"{section}.{key}", f.name, *_type_check(hint),
+                               get_origin(hint) is tuple)
+    return out
 
 
-def _apply_section(obj, section, raw, errors):
-    for key, value in raw.items():
-        if key not in SECTION_FIELDS[section]:
-            errors.append(f"{section}.{key}: unknown field")
-            continue
-        attr = field_attr(section, key)
-        if attr == "betas" and isinstance(value, list):
-            value = tuple(value)
-        setattr(obj, attr, value)
+# {section: {key: ConfigField}} in file order, from RunConfig's section dataclasses
+SCHEMA = {name: _section_schema(name, hint)
+          for name, hint in get_type_hints(RunConfig).items() if is_dataclass(hint)}
+SECTION_FIELDS = {section: tuple(schema) for section, schema in SCHEMA.items()}
 
 
 def load_config(path: str, overrides: dict | None = None) -> RunConfig:
@@ -169,22 +202,22 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> RunConfig:
 
     cfg = RunConfig()
     errors: list = []
-    for section in ("data", "features", "model", "eval"):
-        block = raw.pop(section, {})
+    for section, schema in SCHEMA.items():
+        block = raw.pop(section, None)
         if block is None:
             block = {}
         if not isinstance(block, dict):
             errors.append(f"{section}: must be a mapping")
             continue
-        _apply_section(getattr(cfg, section), section, block, errors)
-    for section, ctor in (("boosting", BoostConfig), ("net", NetConfig)):
-        block = raw.pop(section, {}) or {}
-        if not isinstance(block, dict):
-            errors.append(f"{section}: must be a mapping")
-            continue
-        obj = ctor()
-        _apply_section(obj, section, block, errors)
-        setattr(cfg, section, obj)
+        obj = getattr(cfg, section)
+        for key, value in block.items():
+            fld = schema.get(key)
+            if fld is None:
+                errors.append(f"{section}.{key}: unknown field")
+                continue
+            if fld.is_tuple and isinstance(value, list):
+                value = tuple(value)
+            setattr(obj, fld.attr, value)
     if "seed" in raw:
         cfg.seed = raw.pop("seed")
     ablations = raw.pop("ablations", {}) or {}
@@ -212,31 +245,19 @@ def _set_dotted(raw: dict, dotted: str, value):
     node[parts[-1]] = yaml.safe_load(value) if isinstance(value, str) else value
 
 
-def _typed_numbers(cfg: RunConfig, errors: list) -> set:
-    """Names of the numeric fields whose value has the field's type; an
-    error for each other one."""
-    typed = set()
-    for fields, integer, optional in ((INT_FIELDS, True, False),
-                                      (OPTIONAL_INT_FIELDS, True, True),
-                                      (FLOAT_FIELDS, False, False)):
-        for section, key in fields:
-            value = getattr(getattr(cfg, section), field_attr(section, key))
-            name = f"{section}.{key}"
-            if _is_int(value) if integer else _is_number(value):
-                typed.add(name)
-            elif not (optional and value is None):
-                errors.append(f"{name}: must be {'an integer' if integer else 'a number'}")
-    return typed
-
-
 def _validate(cfg: RunConfig) -> list:
     errors = []
-    typed = _typed_numbers(cfg, errors)
+    typed = set()  # names of the fields whose value has the field's type
+    for section, schema in SCHEMA.items():
+        obj = getattr(cfg, section)
+        for fld in schema.values():
+            if fld.check(getattr(obj, fld.attr)):
+                typed.add(fld.name)
+            else:
+                errors.append(f"{fld.name}: must be {fld.must}")
     if not _is_int(cfg.seed):
         errors.append("seed: must be an integer")
-    if cfg.model.family not in FAMILIES:
-        errors.append(f"model.family: must be one of {FAMILIES}")
-    if cfg.model.target not in KINDS:
+    if "model.target" in typed and cfg.model.target not in KINDS:
         errors.append(f"model.target: must be one of {tuple(KINDS)}")
     if cfg.model.target == "ar" and "model.p" in typed and cfg.model.p < 1:
         errors.append("model.p: must be >= 1 for the ar target")
@@ -247,13 +268,10 @@ def _validate(cfg: RunConfig) -> list:
             errors.append("model.fixed_value: must be in (0, 1] for a smoothing baseline")
     if cfg.eval.average_parameters and cfg.model.target != "ar":
         errors.append("eval.average_parameters: applies to the ar target only")
-    if cfg.model.damping not in ("power", "cumprod"):
-        errors.append("model.damping: must be power or cumprod")
-    if cfg.data.frequency and cfg.data.frequency not in FREQUENCIES:
-        errors.append(f"data.frequency: must be one of {FREQUENCIES}")
-    for name in cfg.features.calendar:
-        if name not in CALENDAR_NAMES:
-            errors.append(f"features.calendar: unknown feature {name!r}")
+    if "features.calendar" in typed:
+        for name in cfg.features.calendar:
+            if name not in CALENDAR_NAMES:
+                errors.append(f"features.calendar: unknown feature {name!r}")
     ranges = (
         ("eval.horizon", lambda: cfg.eval.horizon >= 1, ">= 1"),
         ("boosting.rounds", lambda: cfg.boosting.rounds >= 0, ">= 0"),
@@ -267,13 +285,6 @@ def _validate(cfg: RunConfig) -> list:
     for name, in_range, must in ranges:
         if name in typed and not in_range():
             errors.append(f"{name}: must be {must}")
-    if not (isinstance(cfg.net.betas, (list, tuple)) and len(cfg.net.betas) == 2
-            and all(_is_number(b) for b in cfg.net.betas)):
-        errors.append("net.betas: must be a pair of numbers")
-    if cfg.net.flow not in ("separate", "shared"):
-        errors.append("net.flow: must be separate or shared")
-    if cfg.net.encoder not in ("trees", "features"):
-        errors.append("net.encoder: must be trees or features")
     for key, value in cfg.ablations.items():
         if key not in ABLATIONS:
             errors.append(f"ablations.{key}: unknown switch (a1..a11)")
@@ -282,14 +293,6 @@ def _validate(cfg: RunConfig) -> list:
     if cfg.ablations.get("a9"):
         errors.append("ablations.a9: the two-stage leaf-index pipeline is not supported")
     return errors
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _in_unit(value) -> bool:

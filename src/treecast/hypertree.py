@@ -15,31 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boosting import SplitMatrix, TreeEnsemble, TreeParams, tree_values
+from .boosting import BoostConfig, SplitMatrix, TreeEnsemble, tree_values
 from .data import PanelDataset, feature_matrix, future_panel
 from .errors import NumericError, SchemaError
 from .targets import Objective, TargetSpec
-
-
-@dataclass
-class BoostConfig:
-    rounds: int = 100
-    learning_rate: float = 0.1
-    lam: float = 1.0
-    max_depth: int = 6
-    min_leaf: int = 5
-    linear_leaves: bool = False
-    linear_ridge: float = 1e-6
-
-    def tree_params(self) -> TreeParams:
-        return TreeParams(
-            learning_rate=self.learning_rate,
-            lam=self.lam,
-            max_depth=self.max_depth,
-            min_leaf=self.min_leaf,
-            linear_leaves=self.linear_leaves,
-            linear_ridge=self.linear_ridge,
-        )
 
 
 @dataclass
@@ -140,8 +119,7 @@ def train(ds: PanelDataset, spec: TargetSpec, config: BoostConfig,
     objective = Objective(ds, spec)
     P = spec.param_count
     base = spec.target.base(ds)
-    params = config.tree_params()
-    ensembles = [TreeEnsemble(params, base=0.0, n_features=fs.n_features) for _ in range(P)]
+    ensembles = [TreeEnsemble(config, base=0.0, n_features=fs.n_features) for _ in range(P)]
     raw = np.tile(base, (ds.n_rows, 1))
     counts = objective.weight.astype(np.float64)
     log = TrainLog()

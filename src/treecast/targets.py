@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -54,6 +55,8 @@ SIG_EPS = 1e-6     # keeps smoothing parameters strictly inside their domain
 GUARD_EPS = 1e-8   # multiplicative recursion positivity guard
 
 ALPHA, BETA, GAMMA, PHI = 0, 1, 2, 3
+
+Damping = Literal["power", "cumprod"]
 
 
 @dataclass(frozen=True)
@@ -72,14 +75,14 @@ class TargetSpec:
     n_season: int = 1
     period: int = 12
     penalty: float = 1.0
-    damping: str = "power"
+    damping: Damping = "power"
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown target kind {self.kind!r}")
         if self.kind == "ar" and self.p < 1:
             raise ValueError("ar target needs p >= 1")
-        if self.damping not in ("power", "cumprod"):
+        if self.damping not in get_args(Damping):
             raise ValueError(f"unknown damping convention {self.damping!r}")
 
     @cached_property

@@ -15,47 +15,40 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import asdict, dataclass
+from typing import Literal, get_args
 
 import numpy as np
 
-from .boosting import HESS_FLOOR, SplitMatrix, TreeEnsemble, tree_values
+from .boosting import HESS_FLOOR, BoostConfig, SplitMatrix, TreeEnsemble, tree_values
 from .data import PanelDataset
 from .errors import NumericError
-from .hypertree import BoostConfig, FeatureRecipe, HyperTreeModel, TrainLog
+from .hypertree import FeatureRecipe, HyperTreeModel, TrainLog
 from .targets import Objective, TargetSpec
 
 
+Flow = Literal["separate", "shared"]
+Encoder = Literal["trees", "features"]
+
+
+@dataclass
 class NetConfig:
-    def __init__(self, d=1, k=None, hidden=128, dropout=0.1, lr=1e-3,
-                 betas=(0.9, 0.999), flow="separate", use_projection=True,
-                 encoder="trees"):
-        if flow not in ("separate", "shared"):
-            raise ValueError(f"unknown gradient flow {flow!r}")
-        if encoder not in ("trees", "features"):
-            raise ValueError(f"unknown encoder {encoder!r}")
-        self.d = d
-        self.k = k
-        self.hidden = hidden
-        self.dropout = dropout
-        self.lr = lr
-        self.betas = betas
-        self.flow = flow
-        self.use_projection = use_projection
-        self.encoder = encoder
+    d: int = 1
+    k: int | None = None
+    hidden: int = 128
+    dropout: float = 0.1
+    lr: float = 1e-3
+    betas: tuple[float, float] = (0.9, 0.999)
+    flow: Flow = "separate"
+    use_projection: bool = True
+    encoder: Encoder = "trees"
 
-    def to_dict(self):
-        return {
-            "d": self.d, "k": self.k, "hidden": self.hidden,
-            "dropout": self.dropout, "lr": self.lr, "betas": list(self.betas),
-            "flow": self.flow, "use_projection": self.use_projection,
-            "encoder": self.encoder,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d["betas"] = tuple(d["betas"])
-        return cls(**d)
+    def __post_init__(self):
+        # training branches on flow and encoder: an unknown value would
+        # quietly take the other branch
+        for name, allowed in (("flow", Flow), ("encoder", Encoder)):
+            if getattr(self, name) not in get_args(allowed):
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}")
 
 
 class MlpScratch:
@@ -225,7 +218,7 @@ class TreeNetModel:
         return {
             "family": "treenet",
             "spec": self.spec.to_dict(),
-            "net": self.net_cfg.to_dict(),
+            "net": asdict(self.net_cfg),
             "recipe": self.recipe.to_dict(),
             "feature_names": list(self.feature_names),
             "feature_kinds": list(self.feature_kinds),
@@ -240,7 +233,7 @@ class TreeNetModel:
     @classmethod
     def from_dict(cls, d):
         spec = TargetSpec.from_dict(d["spec"])
-        net_cfg = NetConfig.from_dict(d["net"])
+        net_cfg = NetConfig(**d["net"])
         mlp = Mlp(1, 1, 1, np.random.default_rng(0))
         mlp.load_weights(d["mlp"])
         return cls(
@@ -320,11 +313,10 @@ def train(ds: PanelDataset, spec: TargetSpec, boost_cfg: BoostConfig,
     mlp = Mlp(k, net_cfg.hidden, P, np.random.default_rng(ss_mlp))
     drop_rng = np.random.default_rng(ss_drop)
 
-    params = boost_cfg.tree_params()
     ensembles = []
     feat_center = feat_scale = None
     if net_cfg.encoder == "trees":
-        ensembles = [TreeEnsemble(params, base=0.0, n_features=fs.n_features)
+        ensembles = [TreeEnsemble(boost_cfg, base=0.0, n_features=fs.n_features)
                      for _ in range(d)]
         matrix = SplitMatrix(fs.X, fs.kinds)  # shared by every tree of the fit
         E = np.zeros((ds.n_rows, d))

@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 from treecast import treenet
 from treecast.baselines import classical_decompose, fit_ols_ar
-from treecast.boosting import Leaf, Split, TreeParams, grow_tree, split_gain
+from treecast.boosting import Leaf, Split, grow_tree, split_gain
 from treecast.cli import main, run_scaling_benchmark
 from treecast.config import config_from_dict
 from treecast.data import build_lags
@@ -132,13 +132,13 @@ def test_criterion_02_engine_oracle():
                                             float(g[~left].sum()), float(h[~left].sum()),
                                             lam))
         tree = grow_tree(X, ("num", "num"), g, h, np.arange(n),
-                         TreeParams(lam=lam, max_depth=1, min_leaf=1))
+                         BoostConfig(lam=lam, max_depth=1, min_leaf=1))
         got = tree.gain if isinstance(tree, Split) else 0.0
         assert got == best, f"case {case}: engine gain {got} != oracle max {best}"
 
         # every leaf weight is exactly the Newton step of its row set
         deep = grow_tree(X, ("num", "num"), g, h, np.arange(n),
-                         TreeParams(lam=lam, max_depth=3, min_leaf=1))
+                         BoostConfig(lam=lam, max_depth=3, min_leaf=1))
 
         def check(node, idx):
             if isinstance(node, Leaf):

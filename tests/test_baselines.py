@@ -15,10 +15,10 @@ from conftest import ar2_sim, drop_last, make_panel
 GRID = [round(0.1 * k, 1) for k in range(1, 10)]
 
 
-def replay(y, value, kind, m, h):
+def replay(y, value, kind, m, h, damping="power"):
     """The one-series oracle of a smoothing baseline: filter ``y`` with every
     parameter at ``value``, then forecast h steps."""
-    spec = TargetSpec(kind, m=m)
+    spec = TargetSpec(kind, m=m, damping=damping)
     values = np.full((len(y), spec.param_count), value)
     _, state = ets_filter(y, values, spec, ets_init(y, m, kind == "ets"))
     return ets_forecast(state, np.full(h, value), h, spec)
@@ -175,6 +175,17 @@ class TestBaselineForecast:
         out = forecast_baseline(model, ds, 12)
         for i, s in enumerate(ds.series):
             assert np.array_equal(out[s.series_id][0], replay(observed(ds, i), 0.3, kind, 12, 12))
+
+    def test_cumprod_damping_matches_replay(self):
+        """The baseline forecasts under the configured damping convention,
+        also after a round trip through its bundle encoding."""
+        cfg, ds = baseline_panel(target="ets", fixed_value=0.9, damping="cumprod")
+        model = BaselineModel.from_dict(train_baseline(ds, cfg).to_dict())
+        assert model.spec == cfg.target_spec(ds.frequency)
+        out = forecast_baseline(model, ds, 12)
+        for i, s in enumerate(ds.series):
+            want = replay(observed(ds, i), 0.9, "ets", 12, 12, damping="cumprod")
+            assert np.array_equal(out[s.series_id][0], want)
 
     def test_ar_with_intercept_matches_hand_recursion(self):
         cfg, ds = baseline_panel(target="ar", p=2, intercept=True)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treecast.boosting import (HESS_FLOOR, Leaf, Split, SplitMatrix, TreeEnsemble,
-                               TreeParams, fit_linear_leaf, floor_hessian, grow_tree,
+from treecast.boosting import (HESS_FLOOR, BoostConfig, Leaf, Split, SplitMatrix,
+                               TreeEnsemble, fit_linear_leaf, floor_hessian, grow_tree,
                                leaf_weight, split_gain)
 from treecast.errors import NumericError
 
@@ -73,7 +73,7 @@ class TestSplitGain:
 def params(**kw):
     defaults = dict(learning_rate=0.1, lam=0.0, max_depth=6, min_leaf=1)
     defaults.update(kw)
-    return TreeParams(**defaults)
+    return BoostConfig(**defaults)
 
 
 class TestGrowTree:
@@ -164,7 +164,7 @@ class TestEnsemble:
         X = rng.normal(size=(30, 2))
         g = rng.normal(size=30)
         h = np.ones(30)
-        ens = TreeEnsemble(TreeParams(learning_rate=0.0, lam=1.0), n_features=2)
+        ens = TreeEnsemble(BoostConfig(learning_rate=0.0, lam=1.0), n_features=2)
         before = ens.predict(X)
         ens.boost_round(SplitMatrix(X, ("num", "num")), g, h)
         assert np.array_equal(ens.predict(X), before)
@@ -210,7 +210,7 @@ class TestEnsemble:
         rng = np.random.default_rng(11)
         X = rng.uniform(0, 1, size=(60, 2))
         y = np.sin(6 * X[:, 0]) + X[:, 1]
-        ens = TreeEnsemble(TreeParams(learning_rate=0.3, lam=1.0, max_depth=4,
+        ens = TreeEnsemble(BoostConfig(learning_rate=0.3, lam=1.0, max_depth=4,
                                       min_leaf=5), n_features=2)
         matrix = SplitMatrix(X, ("num", "num"))
         prev = np.inf
@@ -239,7 +239,7 @@ class TestEnsemble:
         rng = np.random.default_rng(9)
         X = rng.normal(size=(40, 2))
         y = rng.normal(size=40)
-        ens = TreeEnsemble(TreeParams(lam=0.7, learning_rate=0.13, max_depth=3,
+        ens = TreeEnsemble(BoostConfig(lam=0.7, learning_rate=0.13, max_depth=3,
                                       min_leaf=2), n_features=2)
         matrix = SplitMatrix(X, ("num", "num"))
         for _ in range(4):
@@ -284,7 +284,7 @@ class TestLinearLeaf:
         # y = 2x learned by one linear-leaf tree at the root
         x = np.linspace(0, 1, 20)
         y = 2.0 * x
-        ens = TreeEnsemble(TreeParams(learning_rate=1.0, lam=0.0, max_depth=1,
+        ens = TreeEnsemble(BoostConfig(learning_rate=1.0, lam=0.0, max_depth=1,
                                       min_leaf=5, linear_leaves=True,
                                       linear_ridge=1e-10), n_features=1)
         pred = ens.predict(x.reshape(-1, 1))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -7,9 +8,13 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from treecast.cli import main
+from treecast import hypertree, treenet
+from treecast.cli import _config_echo, main, run_scaling_benchmark
 from treecast.config import ABLATIONS, config_from_dict, load_config
 from treecast.errors import ConfigError
+from treecast.hypertree import TrainLog
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
 
 
 @pytest.fixture
@@ -261,6 +266,22 @@ class TestBundleErrors:
         assert res.output.startswith("data error: ")
         assert fname in res.output and field in res.output, res.output
 
+    def test_previous_baseline_manifest_exit_3(self, runner, tmp_path):
+        """A baseline manifest that still holds target/p/m in place of the
+        target spec is rejected, naming the missing field."""
+        bundle = tmp_path / "bundle"
+        res = runner.invoke(main, ["train", base_config(tmp_path, **{"model.family": "baseline"}),
+                                   "--out", str(bundle)])
+        assert res.exit_code == 0, res.output
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        spec = manifest.pop("spec")
+        manifest.update(target=spec["kind"], p=spec["p"], m=spec["m"])
+        (bundle / "manifest.json").write_text(json.dumps(manifest))
+        res = runner.invoke(main, ["forecast", "--bundle", str(bundle),
+                                   "--out", str(tmp_path / "fc.csv")])
+        assert res.exit_code == 3, res.output
+        assert "manifest.json" in res.output and "missing field 'spec'" in res.output
+
 
 class TestEvaluate:
     def write(self, path, rows):
@@ -466,6 +487,29 @@ class TestBenchScaling:
             if row[0] == "1":
                 assert float(row[3]) == 1.0
 
+    def test_trains_with_the_configured_boosting_section(self, monkeypatch):
+        """Every timed run gets the config's boosting section with only the
+        round count replaced; leaf settings included."""
+        seen = []
+
+        def fake_train(ds, spec, boost_cfg, *args):
+            seen.append(boost_cfg)
+            log = TrainLog()
+            for r in range(1, boost_cfg.rounds + 1):
+                log.append(r, 0.0, 0.01 * r)
+            return None, log
+
+        monkeypatch.setattr(hypertree, "train", fake_train)
+        monkeypatch.setattr(treenet, "train", fake_train)
+        cfg = config_from_dict({"boosting": {"linear_leaves": True, "linear_ridge": 0.5,
+                                             "lambda": 2.0, "max_depth": 3, "min_leaf": 7,
+                                             "learning_rate": 0.2}})
+        run_scaling_benchmark(cfg, [1, 2], 400, 8, seed=7, repeats=1)
+        assert len(seen) == 2 * (1 + 2)  # per family: a warm-up and one run per P
+        assert {c.rounds for c in seen} == {2, 8}
+        for c in seen:
+            assert c == dataclasses.replace(cfg.boosting, rounds=c.rounds)
+
 
 class TestConfig:
     def test_ablation_switch_coverage(self):
@@ -504,9 +548,19 @@ class TestConfig:
         off = {f"a{i}": False for i in range(1, 12)}
         a = config_from_dict({"ablations": off})
         b = config_from_dict({})
-        assert a.net.to_dict() == b.net.to_dict()
+        assert a.net == b.net
         assert a.model == b.model
         assert a.boosting == b.boosting
+
+    @pytest.mark.parametrize("family", [None, "treenet"])
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+    def test_echo_survives_json_round_trip(self, path, family):
+        """`treecast forecast` validates the bundle's config echo again, as
+        JSON gave it back; every shipped config must come back unchanged."""
+        cfg = load_config(str(path), {"model.family": family} if family else None)
+        echo = _config_echo(cfg)
+        again = config_from_dict(json.loads(json.dumps(echo)))
+        assert _config_echo(again) == echo
 
     def test_unknown_fields_reported(self, tmp_path):
         p = tmp_path / "c.yaml"
@@ -589,7 +643,7 @@ AR_CONFIG = str(Path(__file__).resolve().parent.parent / "configs/air_passengers
 
 
 class TestConfigTypes:
-    """A numeric field of the wrong type exits 2 naming the field; the data
+    """A field of the wrong type exits 2 naming the field, once; the data
     path does not exist, so the config is rejected before data is read."""
 
     @pytest.mark.parametrize("overrides, message", [
@@ -603,6 +657,13 @@ class TestConfigTypes:
         (["model.m=monthly"], "model.m: must be an integer"),
         (["net.dropout=abc"], "net.dropout: must be a number"),
         (["net.betas=0.9"], "net.betas: must be a pair of numbers"),
+        (["boosting.linear_leaves=abc"], "boosting.linear_leaves: must be a boolean"),
+        (["net.use_projection=yes_please"], "net.use_projection: must be a boolean"),
+        (["features.summary=0"], "features.summary: must be a boolean"),
+        (["data.path=5"], "data.path: must be a string"),
+        (["features.calendar=month"], "features.calendar: must be a list of strings"),
+        (["data.categorical=abc"], "data.categorical: must be a list of strings"),
+        (["net.flow=3"], "net.flow: must be one of ('separate', 'shared')"),
     ])
     def test_wrong_type_exit_2(self, runner, tmp_path, overrides, message):
         args = ["train", AR_CONFIG, "--set", f"data.path={tmp_path / 'missing.csv'}",
@@ -612,6 +673,7 @@ class TestConfigTypes:
         res = runner.invoke(main, args)
         assert res.exit_code == 2, res.output
         assert message in res.output
+        assert res.output.count(message.split(": ")[0] + ":") == 1, res.output  # one error
         assert "Traceback" not in res.output
 
     def test_int_for_a_float_field_accepted(self, runner, tmp_path):

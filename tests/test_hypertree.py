@@ -117,7 +117,7 @@ class TestForecast:
         base[0] = 1.0  # theta = e1: naive one-step
         model = HyperTreeModel(
             spec,
-            [TreeEnsemble(BoostConfig().tree_params(), n_features=fs.n_features)
+            [TreeEnsemble(BoostConfig(), n_features=fs.n_features)
              for _ in range(12)],
             base, air_recipe, fs.names, fs.kinds,
         )

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treecast import boosting
-from treecast.boosting import (DENSE_ROWS_PER_VALUE, TIE_RTOL, Leaf, Split, SplitMatrix,
-                               TreeEnsemble, TreeParams, grow_tree)
+from treecast.boosting import (DENSE_ROWS_PER_VALUE, TIE_RTOL, BoostConfig, Leaf, Split,
+                               SplitMatrix, TreeEnsemble, grow_tree)
 from treecast.errors import NumericError
 
 from reference_engine import best_gain, numeric_candidates, reference_grow_tree
@@ -59,7 +59,7 @@ def random_panel(seed, integer_grads):
     counts = (rng.random(n) >= rng.choice([0.0, 0.2, 0.5])).astype(np.float64)
     g[counts == 0] = 0.0
     h[counts == 0] = 0.0
-    params = TreeParams(lam=float(rng.choice([0.0, 0.5, 1.0])),
+    params = BoostConfig(lam=float(rng.choice([0.0, 0.5, 1.0])),
                         max_depth=int(rng.integers(0, 5)),
                         min_leaf=int(rng.integers(1, 6)),
                         linear_leaves=bool(rng.integers(0, 2)),
@@ -217,7 +217,7 @@ class TestTieBreak:
         quarter = (month - 1) // 3 + 1
         g = _tie_gradients(np.random.default_rng(0), month <= 3)
         h = np.ones(len(g))
-        params = TreeParams(lam=1.0, max_depth=1, min_leaf=1)
+        params = BoostConfig(lam=1.0, max_depth=1, min_leaf=1)
         gains = [max(numeric_candidates(col, g, h, h, 1.0, 1))[0] for col in (month, quarter)]
         assert gains[0] < gains[1]
         for cols, thr in (((month, quarter), 3.5), ((quarter, month), 1.5)):
@@ -237,7 +237,7 @@ class TestTieBreak:
         b[~left] = n // 2 + rng.permutation(n // 2)
         g = _tie_gradients(rng, left)
         h = np.ones(n)
-        params = TreeParams(lam=1.0, max_depth=1, min_leaf=1)
+        params = BoostConfig(lam=1.0, max_depth=1, min_leaf=1)
         gains = [max(numeric_candidates(col, g, h, h, 1.0, 1))[0] for col in (a, b)]
         assert gains[0] < gains[1]
         for cols in ((a, b), (b, a)):

@@ -56,10 +56,10 @@ class TestForward:
         ge, he = embedding_grad_hess(model, obj, cache, raw, g, h)
         assert not ge.any()
         # trees grown on zero gradients stay single zero leaves
-        from treecast.boosting import grow_tree, TreeParams
+        from treecast.boosting import grow_tree
 
         tree = grow_tree(fs.X, fs.kinds, ge[:, 0], he[:, 0], np.arange(ds.n_rows),
-                         TreeParams())
+                         BoostConfig())
         assert isinstance(tree, Leaf)
         assert tree.weight == 0.0
 
@@ -239,6 +239,15 @@ class TestPersistence:
         a, _ = model.predict_parameters(fs.X)
         b, _ = back.predict_parameters(fs.X)
         assert np.array_equal(a, b)
+
+
+class TestNetConfig:
+    @pytest.mark.parametrize("field", ["flow", "encoder"])
+    def test_unknown_value_raises(self, field):
+        """Training branches on these fields; an unknown value must not
+        quietly run as one of the known ones."""
+        with pytest.raises(ValueError, match=f"unknown {field} 'x'"):
+            NetConfig(**{field: "x"})
 
 
 class TestMlpUnit:
