@@ -146,7 +146,8 @@ class TestSharedMatrix:
         X, kinds, _, _, counts, params = random_panel(seed, integer_grads)
         rng = np.random.default_rng([seed, 1])
         n = len(X)
-        X = np.column_stack([X, rng.integers(0, max(2, n // 2), n),
+        # codes in pairs: n // 2 or more levels, always past the dense rule
+        X = np.column_stack([X, rng.permutation(n) // 2,
                              np.round(rng.normal(size=n), 2)])
         kinds = kinds + ("cat", "num")
         matrix = SplitMatrix(X, kinds)
