@@ -5,6 +5,8 @@ A :class:`PanelDataset` keeps one row per observation, sorted by
 features, lag columns, categorical codes and the padding mask.  Every panel
 is made by :meth:`PanelDataset.build`, and every panel derived from another
 (padded, shortened or future rows) by one row gather, :meth:`PanelDataset.take`.
+:func:`ingest_csv` reads a CSV whole columns at a time, and
+:func:`derive_calendar` computes calendar features from the date ordinals.
 All operations are pure: they return a new dataset and never mutate their
 input, so they are safe to call from multiple threads.
 """
@@ -16,6 +18,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, replace
 from datetime import date, timedelta
+from itertools import compress
 
 import numpy as np
 
@@ -123,30 +126,29 @@ class PanelDataset:
         return np.nonzero(self.series_idx == i)[0]
 
     def timestamps_flat(self):
-        out = []
-        for s in self.series:
-            out.extend(s.timestamps)
-        return out
+        return [ts for s in self.series for ts in s.timestamps]
 
 
-def _parse_date(text: str, row_no: int) -> date:
+def _parse_date(text: str) -> date:
+    """ISO-8601 date, or YYYY-MM for the first of that month; ValueError otherwise."""
     t = text.strip()
     if len(t) == 7 and t[4] == "-":  # YYYY-MM, monthly shorthand
         t = t + "-01"
-    try:
-        return date.fromisoformat(t)
-    except ValueError:
-        raise DataError(f"row {row_no}: malformed timestamp {text!r} (expected ISO-8601 date)")
+    return date.fromisoformat(t)
 
 
 def ingest_csv(path, schema: dict | None = None, code_maps: dict | None = None) -> PanelDataset:
     """Read a panel CSV into a PanelDataset.
 
-    Required columns: series_id, timestamp (ISO-8601 date), value (decimal).
+    The file is UTF-8, with or without a byte-order mark.  Required columns:
+    series_id, timestamp (ISO-8601 date or YYYY-MM), value (decimal).
     ``schema`` declares the remaining columns: ``{"categorical": [...],
     "numeric": [...], "frequency": "monthly"}``; undeclared extras are
-    ignored.  Rows are sorted by (series_id, timestamp); duplicates,
-    missing targets and non-finite numeric cells are rejected.
+    ignored, and rows may lack them.  Rows are sorted by (series_id,
+    timestamp); short rows, duplicates, missing targets and non-finite numeric
+    cells are rejected, and so is a first gap that fits no frequency.  The
+    columns are parsed whole; if one fails, :func:`_raise_row_fault` names
+    the first faulty row in file order.
 
     When ``code_maps`` is given (forecast time), the categorical encoding is
     frozen: unseen categories map to the reserved code with a warning.
@@ -156,16 +158,17 @@ def ingest_csv(path, schema: dict | None = None, code_maps: dict | None = None) 
     num_cols = list(schema.get("numeric", []))
 
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}")
     with fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
+            rows = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})")
+        if not rows:
             raise DataError(f"{path}: empty file")
-        header = [c.strip() for c in header]
+        header = [c.strip() for c in rows.pop(0)]
         for required in ("series_id", "timestamp", "value"):
             if required not in header:
                 raise DataError(f"{path}: missing required column {required!r}")
@@ -174,52 +177,43 @@ def ingest_csv(path, schema: dict | None = None, code_maps: dict | None = None) 
         if missing:
             raise DataError(f"{path}: declared feature columns not in file: {missing}")
 
-        records = []
-        for row_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            sid = row[col["series_id"]].strip()
-            ts = _parse_date(row[col["timestamp"]], row_no)
-            raw_val = row[col["value"]].strip()
-            if raw_val == "":
-                raise DataError(f"row {row_no}: missing target value for series {sid!r}")
-            try:
-                val = float(raw_val)
-            except ValueError:
-                raise DataError(f"row {row_no}: non-numeric target {raw_val!r}")
-            if not math.isfinite(val):
-                raise DataError(f"row {row_no}: non-finite target {raw_val!r}")
-            nums = []
-            for c in num_cols:
-                try:
-                    nums.append(float(row[col[c]]))
-                except ValueError:
-                    raise DataError(f"row {row_no}: non-numeric value {row[col[c]]!r} in column {c!r}")
-                if not math.isfinite(nums[-1]):
-                    raise DataError(f"row {row_no}: non-finite value {row[col[c]]!r} in column {c!r}")
-            records.append((sid, ts, val, *(row[col[c]].strip() for c in cat_cols), *nums))
-
-    if not records:
+    used = ("series_id", "timestamp", "value", *num_cols, *cat_cols)
+    data = list(compress(rows, map(str.strip, map("".join, rows))))  # skip blank rows
+    if not data:
         raise DataError(f"{path}: no data rows")
+    try:
+        if min(map(len, data)) <= max(map(col.get, used)):
+            raise ValueError("short row")
+        columns = list(zip(*data))  # as long as the shortest row, which has every used cell
+        cells = {c: columns[col[c]] for c in used}
+        stamp_text, stamp_code = _factorize(cells["timestamp"])
+        stamp_dates = [_parse_date(t) for t in stamp_text]
+        y, *nums = (np.fromiter(map(float, cells[c]), np.float64, len(data))
+                    for c in ("value", *num_cols))
+        if not all(np.isfinite(v).all() for v in (y, *nums)):
+            raise ValueError("non-finite cell")
+    except ValueError:
+        _raise_row_fault(rows, col, num_cols, cat_cols)
+        raise
 
-    records.sort(key=lambda r: (r[0], r[1]))
-    # one tuple per column: series_id, timestamp, value, categoricals, numerics
-    columns = list(zip(*records))
-    cat_columns = columns[3:3 + len(cat_cols)]
-    num_columns = columns[3 + len(cat_cols):]
-    sids, stamps = (np.array(values, dtype=object) for values in columns[:2])
-    same_series = sids[1:] == sids[:-1]
-    dup = np.flatnonzero(same_series & (stamps[1:] == stamps[:-1]))
+    names, sid_code = _factorize(list(map(str.strip, cells["series_id"])))
+    ordinal = np.array([d.toordinal() for d in stamp_dates])[stamp_code]
+    order = np.lexsort((ordinal, sid_code))
+    sid_code, ordinal = sid_code[order], ordinal[order]
+    stamps = [stamp_dates[k] for k in stamp_code[order].tolist()]
+    same_series = sid_code[1:] == sid_code[:-1]
+    dup = np.flatnonzero(same_series & (ordinal[1:] == ordinal[:-1]))
     if dup.size:
-        sid, ts = records[dup[0] + 1][:2]
+        sid, ts = names[sid_code[dup[0] + 1]], stamps[dup[0] + 1]
         raise DataError(f"duplicate (series_id, timestamp) key: ({sid!r}, {ts.isoformat()})")
-    bounds = [0, *(np.flatnonzero(~same_series) + 1), len(records)]
-    series = tuple(TimeSeries(sids[a], columns[1][a:b]) for a, b in zip(bounds, bounds[1:]))
+    bounds = [0, *(np.flatnonzero(~same_series) + 1), len(order)]
+    series = tuple(TimeSeries(names[sid_code[a]], tuple(stamps[a:b]))
+                   for a, b in zip(bounds, bounds[1:]))
 
+    levels = {c: _factorize(list(map(str.strip, cells[c]))) for c in cat_cols}
     if code_maps is None:
         # frozen ordinal code maps; codes are dense and start at 0
-        code_maps = {c: {lev: i for i, lev in enumerate(sorted(set(values)))}
-                     for c, values in zip(cat_cols, cat_columns)}
+        code_maps = {c: {lev: i for i, lev in enumerate(levs)} for c, (levs, _) in levels.items()}
 
     def encode(col, value):
         code = code_maps.get(col, {}).get(value)
@@ -229,47 +223,99 @@ def ingest_csv(path, schema: dict | None = None, code_maps: dict | None = None) 
         return code
 
     cat = {}
-    for c, values in zip(cat_cols, cat_columns):
-        levels, inverse = np.unique(np.array(values, dtype=object), return_inverse=True)
-        cat[c] = np.array([encode(c, lev) for lev in levels], dtype=np.int64)[inverse]
+    for c in cat_cols:
+        levs, codes = levels[c]
+        cat[c] = np.array([encode(c, lev) for lev in levs], dtype=np.int64)[codes[order]]
     return PanelDataset.build(
-        series, columns[2], schema.get("frequency") or _infer_frequency(series),
-        cat=cat, num=dict(zip(num_cols, num_columns)), code_maps=code_maps,
+        series, y[order], schema.get("frequency") or _infer_frequency(series),
+        cat=cat, num={c: v[order] for c, v in zip(num_cols, nums)}, code_maps=code_maps,
     )
 
 
+def _factorize(values):
+    """Sorted distinct values, and the position of each value among them."""
+    levels = sorted(set(values))
+    code = {v: i for i, v in enumerate(levels)}
+    return levels, np.fromiter(map(code.__getitem__, values), np.int64, len(values))
+
+
+def _raise_row_fault(rows, col: dict, num_cols: list, cat_cols: list):
+    """Raise the DataError of the first faulty data row, in file order.
+
+    A row's cells are checked in reading order: series_id, timestamp, value,
+    then the declared numeric and categorical columns.
+    """
+    for row_no, row in enumerate(rows, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+
+        def cell(name):
+            if col[name] >= len(row):
+                raise DataError(f"row {row_no}: no cell for column {name!r} "
+                                f"(the row has {len(row)} cells)")
+            return row[col[name]]
+
+        sid = cell("series_id").strip()
+        try:
+            _parse_date(cell("timestamp"))
+        except ValueError:
+            raise DataError(f"row {row_no}: malformed timestamp {cell('timestamp')!r} "
+                            "(expected ISO-8601 date)")
+        raw_val = cell("value").strip()
+        if raw_val == "":
+            raise DataError(f"row {row_no}: missing target value for series {sid!r}")
+        try:
+            val = float(raw_val)
+        except ValueError:
+            raise DataError(f"row {row_no}: non-numeric target {raw_val!r}")
+        if not math.isfinite(val):
+            raise DataError(f"row {row_no}: non-finite target {raw_val!r}")
+        for c in num_cols:
+            try:
+                val = float(cell(c))
+            except ValueError:
+                raise DataError(f"row {row_no}: non-numeric value {cell(c)!r} in column {c!r}")
+            if not math.isfinite(val):
+                raise DataError(f"row {row_no}: non-finite value {cell(c)!r} in column {c!r}")
+        for c in cat_cols:
+            cell(c)
+
+
 def _infer_frequency(series) -> str:
+    """Frequency from the first gap of the first series with two rows."""
     for s in series:
         if len(s) >= 2:
-            delta = (s.timestamps[1] - s.timestamps[0]).days
-            if delta <= 2:
+            gap = (s.timestamps[1] - s.timestamps[0]).days
+            if gap == 1:
                 return "daily"
-            if delta <= 62:
+            if 28 <= gap <= 31:
                 return "monthly"
-            return "yearly"
+            if gap in (365, 366):
+                return "yearly"
+            raise DataError(
+                f"series {s.series_id!r}: first gap of {gap} days fits no supported frequency "
+                f"(daily, monthly, yearly); set data.frequency")
     return "monthly"
 
 
 def derive_calendar(ds: PanelDataset) -> PanelDataset:
     """Attach month/quarter/year/day_of_week/time_index to every row.
 
-    Pure function of the timestamps; time_index restarts at 0 per series.
+    Pure function of the timestamps, vectorized over their ordinals (day 1 is
+    Monday 0001-01-01); time_index restarts at 0 per series.
     """
-    month, quarter, year, dow, tindex = [], [], [], [], []
-    for s in ds.series:
-        for t, ts in enumerate(s.timestamps):
-            month.append(ts.month)
-            quarter.append((ts.month - 1) // 3 + 1)
-            year.append(ts.year)
-            dow.append(ts.weekday())  # Monday=0
-            tindex.append(t)
+    ordinal = np.fromiter(map(date.toordinal, ds.timestamps_flat()), np.int64)
+    day = np.datetime64("0001-01-01") + (ordinal - 1).astype("timedelta64[D]")
+    months = day.astype("datetime64[M]").astype(np.int64)  # months since 1970-01
+    month = months % 12 + 1
+    starts = np.cumsum([0, *map(len, ds.series)])[:-1]
     return replace(
         ds,
-        month=np.asarray(month, dtype=np.int64),
-        quarter=np.asarray(quarter, dtype=np.int64),
-        year=np.asarray(year, dtype=np.int64),
-        day_of_week=np.asarray(dow, dtype=np.int64),
-        time_index=np.asarray(tindex, dtype=np.int64),
+        month=month,
+        quarter=(month - 1) // 3 + 1,
+        year=months // 12 + 1970,
+        day_of_week=(ordinal - 1) % 7,
+        time_index=np.arange(len(ordinal)) - starts[ds.series_idx],
     )
 
 

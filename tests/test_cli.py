@@ -168,6 +168,52 @@ class TestNonFiniteFeatures:
         assert "row 6: non-finite value 'nan' in column 'exposure'" in res.output
 
 
+class TestIngestFaults:
+    """CSV faults that once ended in a traceback or were quietly misread."""
+
+    airline = (Path(__file__).resolve().parent.parent
+               / "src/treecast/bundled/air_passengers.csv").read_text()
+
+    def train(self, runner, tmp_path, data):
+        return runner.invoke(main, ["train", base_config(tmp_path), "--set", f"data.path={data}",
+                                    "--out", str(tmp_path / "b")])
+
+    def test_short_row_exit_3(self, runner, tmp_path):
+        data = tmp_path / "short.csv"
+        data.write_text(self.airline.replace("1954-01-01,204", "1954-01-01"))
+        res = self.train(runner, tmp_path, data)
+        assert res.exit_code == 3, res.output
+        assert "row 62: no cell for column 'value' (the row has 2 cells)" in res.output
+
+    def test_undecodable_byte_exit_3(self, runner, tmp_path):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(self.airline.replace("AirPassengers", "caf\xe9").encode("latin-1"))
+        res = self.train(runner, tmp_path, data)
+        assert res.exit_code == 3, res.output
+        assert f"{data}: not UTF-8 text" in res.output
+
+    def test_byte_order_mark_trains(self, runner, tmp_path):
+        data = tmp_path / "bom.csv"
+        data.write_bytes(b"\xef\xbb\xbf" + self.airline.encode("utf-8"))
+        res = self.train(runner, tmp_path, data)
+        assert res.exit_code == 0, res.output
+        fc = tmp_path / "fc.csv"
+        res = runner.invoke(main, ["forecast", "--bundle", str(tmp_path / "b"), "--data", str(data),
+                                   "--out", str(fc)])
+        assert res.exit_code == 0, res.output
+        assert fc.read_text().splitlines()[1].startswith("AirPassengers,1961-01-01,")
+
+    def test_weekly_stamps_exit_3(self, runner, tmp_path):
+        data = tmp_path / "weekly.csv"
+        start = np.datetime64("2018-01-04")
+        data.write_text("series_id,timestamp,value\n" + "".join(
+            f"w,{start + np.timedelta64(7 * k, 'D')},{100 + k % 9}\n" for k in range(150)))
+        res = self.train(runner, tmp_path, data)
+        assert res.exit_code == 3, res.output
+        assert ("series 'w': first gap of 7 days fits no supported frequency "
+                "(daily, monthly, yearly); set data.frequency") in res.output
+
+
 class TestForecast:
     def test_h12_rows(self, runner, tmp_path):
         cfg = base_config(tmp_path)
