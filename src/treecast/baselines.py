@@ -19,7 +19,7 @@ from . import hypertree
 from .data import PanelDataset, TimeSeries, future_panel
 from .errors import DataError, NumericError
 from .metrics import wape
-from .targets import TargetSpec, ar_forecast_recursive, ar_history
+from .targets import TargetSpec, ar_forecast, ar_histories
 
 TARGETS = ("ar", "ets", "ets_linear")
 
@@ -28,7 +28,6 @@ TARGETS = ("ar", "ets", "ets_linear")
 class OlsArModel:
     coefficients: np.ndarray
     intercept: float | None
-    residual_variance: float
 
     @property
     def p(self):
@@ -51,16 +50,14 @@ def fit_ols_ar(series, p: int, intercept: bool = False) -> OlsArModel:
         X[:, j - 1] = y[p - j : n - j]
     t = y[p:]
     design = np.column_stack([np.ones(rows), X]) if intercept else X
-    sol, residuals, rank, _ = np.linalg.lstsq(design, t, rcond=None)
+    sol, _, rank, _ = np.linalg.lstsq(design, t, rcond=None)
     if rank < design.shape[1]:
         labels = (["intercept"] if intercept else []) + [f"lag_{j}" for j in range(1, p + 1)]
         raise DataError(f"rank-deficient AR design (rank {rank} < {design.shape[1]}): "
                         f"collinear columns among {labels}")
-    resid = t - design @ sol
-    var = float(resid @ resid / max(rows - design.shape[1], 1))
     if intercept:
-        return OlsArModel(sol[1:], float(sol[0]), var)
-    return OlsArModel(sol, None, var)
+        return OlsArModel(sol[1:], float(sol[0]))
+    return OlsArModel(sol, None)
 
 
 def classical_decompose(series, m: int):
@@ -123,9 +120,8 @@ def grid_search_ets(ds: PanelDataset, spec: TargetSpec, horizon: int, grid=None)
     for c in grid:
         model = BaselineModel.smoothing(spec, c)
         try:
-            fc = hypertree.forecast(model, train, max(len(y) for y in held))
-            score = float(np.mean([wape(y, fc[s.series_id][0][:len(y)])
-                                   for s, y in zip(series, held)]))
+            fc, _ = hypertree.forecast(model, train, max(len(y) for y in held))
+            score = float(np.mean([wape(y, f[:len(y)]) for f, y in zip(fc, held)]))
         except NumericError:
             continue
         if best_val is None or score < best_val:
@@ -202,17 +198,14 @@ def train_baseline(ds: PanelDataset, cfg) -> BaselineModel:
     return BaselineModel(spec, cfg.model.intercept, per_series, None)
 
 
-def forecast_baseline(model: BaselineModel, ds: PanelDataset, h: int) -> dict:
-    """Per-series h-step forecasts.  A smoothing baseline forecasts through
-    its target like any parameter-producing model; the AR baseline runs the
-    AR recursion with each series' OLS intercept."""
+def forecast_baseline(model: BaselineModel, ds: PanelDataset, h: int):
+    """(S, h) forecasts and the future ``TimeSeries``, as
+    ``hypertree.forecast``.  A smoothing baseline forecasts through its
+    target like any parameter-producing model; the AR baseline runs the AR
+    recursion with each series' OLS intercept."""
     if model.spec.kind != "ar":
         return hypertree.forecast(model, ds, h)
     fut = future_panel(ds, h)
-    theta = model.parameters(fut)
-    out = {}
-    for i, s in enumerate(ds.series):
-        fc = ar_forecast_recursive(theta[fut.rows_of(i)], ar_history(ds, i, model.spec.p), h,
-                                   model.per_series[s.series_id]["intercept"] or 0.0)
-        out[s.series_id] = (fc, list(fut.series[i].timestamps))
-    return out
+    theta = model.parameters(fut).reshape(ds.n_series, h, -1)
+    intercept = np.array([model.per_series[s.series_id]["intercept"] or 0.0 for s in ds.series])
+    return ar_forecast(theta, ar_histories(ds, model.spec.p), intercept), fut.series

@@ -74,18 +74,20 @@ def _config_echo(cfg: RunConfig) -> dict:
     return echo
 
 
+def _train_family(cfg: RunConfig, ds: PanelDataset):
+    """(model, training log) of the configured family; a baseline has no log."""
+    if cfg.model.family == "baseline":
+        return baselines.train_baseline(ds, cfg), None
+    spec = cfg.target_spec(ds.frequency)
+    if cfg.model.family == "hypertree":
+        return hypertree.train(ds, spec, cfg.boosting, cfg.recipe())
+    return treenet.train(ds, spec, cfg.boosting, cfg.net, cfg.seed, cfg.recipe())
+
+
 def train_from_config(cfg: RunConfig, out_dir):
     ds = prepare_dataset(cfg)
-    spec = cfg.target_spec(ds.frequency)
-    echo = _config_echo(cfg)
-    log = None
-    if cfg.model.family == "baseline":
-        model = baselines.train_baseline(ds, cfg)
-    elif cfg.model.family == "hypertree":
-        model, log = hypertree.train(ds, spec, cfg.boosting, cfg.recipe())
-    else:
-        model, log = treenet.train(ds, spec, cfg.boosting, cfg.net, cfg.seed, cfg.recipe())
-    bundle_io.save_bundle(out_dir, model, log, echo, ds.code_maps, cfg.seed)
+    model, log = _train_family(cfg, ds)
+    bundle_io.save_bundle(out_dir, model, log, _config_echo(cfg), ds.code_maps, cfg.seed)
     return model, log
 
 
@@ -96,15 +98,11 @@ def _dataset_for_bundle(manifest, code_maps, data_path):
 
 def forecast_rows(model, manifest, ds, h, average=False):
     if manifest["family"] == "baseline":
-        per_series = baselines.forecast_baseline(model, ds, h)
+        fc, future = baselines.forecast_baseline(model, ds, h)
     else:
-        per_series = hypertree.forecast(model, ds, h, average=average)
-    rows = []
-    for s in ds.series:
-        fc, stamps = per_series[s.series_id]
-        for ts, val in zip(stamps, fc):
-            rows.append((s.series_id, ts.isoformat(), float(val)))
-    return rows
+        fc, future = hypertree.forecast(model, ds, h, average=average)
+    return [(s.series_id, ts.isoformat(), val)
+            for s, row in zip(future, fc.tolist()) for ts, val in zip(s.timestamps, row)]
 
 
 @click.group()
@@ -207,13 +205,10 @@ def cmd_decompose(config_path, out, overrides):
     if cfg.model.target != "stl":
         raise ConfigError("decompose requires model.target = stl")
     ds = prepare_dataset(cfg)
-    spec = cfg.target_spec(ds.frequency)
-    if cfg.model.family == "hypertree":
-        model, _ = hypertree.train(ds, spec, cfg.boosting, cfg.recipe())
-    elif cfg.model.family == "treenet":
-        model, _ = treenet.train(ds, spec, cfg.boosting, cfg.net, cfg.seed, cfg.recipe())
-    else:
+    if cfg.model.family == "baseline":
         raise ConfigError("decompose requires a tree-based model family")
+    model, _ = _train_family(cfg, ds)
+    spec = model.spec
 
     from .targets import stl_components
 

@@ -162,10 +162,13 @@ def ingest_csv(path, schema: dict | None = None, code_maps: dict | None = None) 
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror}")
     with fh:
+        reader = csv.reader(fh)
         try:
-            rows = list(csv.reader(fh))
+            rows = list(reader)
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text ({exc.reason})")
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}")
         if not rows:
             raise DataError(f"{path}: empty file")
         header = [c.strip() for c in rows.pop(0)]

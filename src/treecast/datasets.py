@@ -14,11 +14,6 @@ def bundled_path(name: str) -> str:
     return str(ref)
 
 
-def air_passengers_path() -> str:
-    """144 monthly airline passenger totals, 1949-1960."""
-    return bundled_path("air_passengers.csv")
-
-
 def synthetic_panel(n_series: int, length: int, seed: int = 0,
                     frequency: str = "monthly") -> PanelDataset:
     """Seasonal panel with trend and noise, built in memory.

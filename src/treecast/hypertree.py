@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boosting import BoostConfig, SplitMatrix, TreeEnsemble, tree_values
-from .data import PanelDataset, feature_matrix, future_panel
+from .data import PanelDataset, TimeSeries, feature_matrix, future_panel
 from .errors import NumericError, SchemaError
 from .targets import Objective, TargetSpec
 
@@ -140,13 +140,14 @@ def train(ds: PanelDataset, spec: TargetSpec, config: BoostConfig,
 
 
 def average_parameters(values: np.ndarray) -> np.ndarray:
-    """Replace per-step parameters with their horizon mean (held constant)."""
-    mean = values.mean(axis=0)
-    return np.tile(mean, (values.shape[0], 1))
+    """Replace per-step parameters (..., h, P) with their horizon mean
+    (held constant)."""
+    return np.broadcast_to(values.mean(axis=-2, keepdims=True), values.shape)
 
 
-def forecast(model, ds: PanelDataset, h: int, average: bool = False) -> dict:
-    """Per-series h-step forecasts from any parameter-producing model.
+def forecast(model, ds: PanelDataset, h: int, average: bool = False):
+    """(S, h) forecasts of every series from any parameter-producing model,
+    and the series' h future timestamps as ``TimeSeries``.
 
     ``model`` needs ``spec`` and ``parameters(ds)``, which the
     per-parameter, the embedding-decoder and the baseline models provide.
@@ -154,17 +155,12 @@ def forecast(model, ds: PanelDataset, h: int, average: bool = False) -> dict:
     (the CLI allows this for autoregressive targets only).
     """
     if h == 0:
-        return {s.series_id: (np.empty(0), []) for s in ds.series}
+        return np.empty((ds.n_series, 0)), tuple(TimeSeries(s.series_id, ()) for s in ds.series)
     target = model.spec.target
     fut = future_panel(ds, h)
-    values_f = model.parameters(fut)
+    S = ds.n_series
+    values = model.parameters(fut).reshape(S, h, -1)
+    if average:
+        values = average_parameters(values)
     state = target.forecast_state(model, ds)
-    out = {}
-    for i, s in enumerate(ds.series):
-        frows = fut.rows_of(i)
-        vals_f = values_f[frows]
-        if average:
-            vals_f = average_parameters(vals_f)
-        fc = target.forecast(vals_f, ds, i, fut.time_index[frows], state)
-        out[s.series_id] = (fc, list(fut.series[i].timestamps))
-    return out
+    return target.forecast(values, ds, fut.time_index.reshape(S, h), state), fut.series

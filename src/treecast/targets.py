@@ -14,9 +14,10 @@ preparation reach a kind only through its class.  A kind supplies
   g and h masked and h floored;
 - ``fitted_jacobian(ds, weight, state)`` when the fit is row-local, else
   None;
-- ``forecast_state(model, ds)`` once, from the model's ``parameters(ds)``
-  where the kind needs them, then ``forecast(values, ds, i, t_future,
-  state)`` from series i's (h, P) horizon parameters.
+- ``forecast_state(model, ds)`` once per panel, from the model's
+  ``parameters(ds)`` where the kind needs them, then ``forecast(values, ds,
+  t_future, state)`` -> (S, h) forecasts of every series from the (S, h, P)
+  horizon parameters and (S, h) time indices.
 
 The numeric kernels the classes call are plain functions.  Smoothing
 parameters pass through scaled sigmoids so alpha/beta/gamma stay inside
@@ -114,30 +115,35 @@ def _sigmoid(x):
 # autoregressive kernel
 # --------------------------------------------------------------------------
 
-def ar_history(ds, i: int, p: int) -> np.ndarray:
-    """The observed values of series i, at least the p that seed an AR(p)
-    forecast; a shorter series is a data error naming it."""
-    rows = ds.rows_of(i)
-    history = ds.y[rows][ds.mask[rows]]
-    if len(history) < p:
+def ar_histories(ds, p: int) -> np.ndarray:
+    """(S, p): the last p observed values of every series, the seeds of an
+    AR(p) forecast; a shorter series is a data error naming the first."""
+    counts = np.bincount(ds.series_idx[ds.mask], minlength=ds.n_series)
+    short = np.flatnonzero(counts < p)
+    if short.size:
+        i = short[0]
         raise DataError(f"series {ds.series[i].series_id!r}: an AR({p}) forecast needs "
-                        f"{p} observed values, got {len(history)}")
-    return history
+                        f"{p} observed values, got {counts[i]}")
+    return ds.y[ds.mask][np.cumsum(counts)[:, None] - p + np.arange(p)]
 
 
-def ar_forecast_recursive(theta_future: np.ndarray, history, h: int,
-                          intercept: float = 0.0) -> np.ndarray:
-    """Iterate y_t = intercept + sum_j theta_{t,j} y_{t-j} h steps, feeding
-    forecasts back as lags."""
-    p = theta_future.shape[1]
-    buf = list(np.asarray(history, dtype=np.float64)[-p:])
-    if len(buf) < p:
-        raise ValueError(f"need at least {p} history values, got {len(buf)}")
-    out = np.empty(h)
+def ar_forecast(theta: np.ndarray, history: np.ndarray, intercept=0.0) -> np.ndarray:
+    """(S, h) forecasts: iterate y_t = intercept + sum_j theta_{t,j} y_{t-j}
+    over the horizon of every series at once, feeding forecasts back as lags.
+
+    ``theta`` is (S, h, p), ``history`` (S, >= p) the observed values ahead
+    of the horizon and ``intercept`` a scalar or one value per series.  The
+    sum runs j = 1..p left to right, then the intercept is added.
+    """
+    S, h, p = theta.shape
+    buf = np.empty((S, p + h))
+    buf[:, :p] = history[:, -p:]
     for k in range(h):
-        out[k] = intercept + sum(theta_future[k, j] * buf[-1 - j] for j in range(p))
-        buf.append(out[k])
-    return out
+        # theta_{t,j} y_{t-j} for j = 1..p; cumsum adds them strictly left to
+        # right, where np.sum would add them pairwise
+        terms = theta[:, k] * buf[:, k:k + p][:, ::-1]
+        buf[:, p + k] = intercept + np.cumsum(terms, axis=1)[:, -1]
+    return buf[:, p:]
 
 
 # --------------------------------------------------------------------------
@@ -254,61 +260,23 @@ def _ets_forward(target, y, values, mask, inits, series_ids):
     return level, trend, ring, v, s
 
 
+# C pow() element by element, as (phi_{t+j})^j was always taken: np.power
+# over an array may differ from it in the last bit
+_scalar_pow = np.frompyfunc(math.pow, 2, 1)
+
+
 def _ets_end_states(target, mask, level, trend, ring):
-    """Each series' end state; its ring oldest-first relative to the
-    series' last unmasked step."""
+    """Every series' end state: level (S,), trend (S,) and ring (S, m), the
+    ring oldest-first relative to the series' last unmasked step (ones for
+    the linear variant)."""
     T, S = mask.shape
     m = target.m
-    ends = []
-    for i in range(S):
-        on = np.nonzero(mask[:, i])[0]
-        t_last = int(on[-1]) + 1 if len(on) else 0
-        if target.seasonal:
-            # slot q ends in ring row T + (q - T) % m
-            out = ring[T + (t_last + np.arange(m) - T) % m, i].copy()
-        else:
-            out = np.ones(1)
-        ends.append(EtsState(float(level[T, i]), float(trend[T, i]), out))
-    return ends
-
-
-def ets_filter(y, values, spec: TargetSpec, init: EtsState, mask=None, series_id=""):
-    """One-step-ahead filter of one series: the one-series call of the
-    panel filter the smoothing target runs.
-
-    fitted_t = (l_{t-1} + phi_t b_{t-1}) * s_{t-m}, then level/trend/seasonal
-    update.  Padded steps (mask False) freeze the state and produce fitted 0.
-    Returns (fitted, final EtsState).
-    """
-    y = np.asarray(y, dtype=np.float64)[:, None]
-    values = np.asarray(values, dtype=np.float64)[:, None, :]
-    mask = np.ones(y.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)[:, None]
-    level, trend, ring, v, s = _ets_forward(spec.target, y, values, mask, [init], [series_id])
-    fitted = np.where(mask, v * s, 0.0)[:, 0]
-    return fitted, _ets_end_states(spec.target, mask, level, trend, ring)[0]
-
-
-def ets_forecast(state: EtsState, phi_future, h: int, spec: TargetSpec) -> np.ndarray:
-    """h-step forecast (l + damping_sum * b) * seasonal, wrapping the ring.
-
-    The "power" convention uses (phi_{t+j})^j for step j as displayed in the
-    damped-trend formula; "cumprod" uses the running product instead.
-    """
-    phi_future = np.asarray(phi_future, dtype=np.float64)
-    seasonal, m = spec.target.seasonal, spec.target.m
-    out = np.empty(h)
-    damp_sum = 0.0
-    cumprod = 1.0
-    for j in range(1, h + 1):
-        phi_j = phi_future[j - 1] if seasonal else 1.0
-        if spec.damping == "power":
-            damp_sum += phi_j ** j
-        else:
-            cumprod *= phi_j
-            damp_sum += cumprod
-        s = state.ring[(j - 1) % m] if seasonal else 1.0
-        out[j - 1] = (state.level + damp_sum * state.trend) * s
-    return out
+    if not target.seasonal:
+        return level[T], trend[T], np.ones((S, m))
+    t_last = np.where(mask.any(axis=0), T - np.argmax(mask[::-1], axis=0), 0)
+    # slot q ends in ring row T + (q - T) % m
+    return level[T], trend[T], ring[T + (t_last[:, None] + np.arange(m) - T) % m,
+                                    np.arange(S)[:, None]]
 
 
 def _ets_adjoint(target, y, mask, values, slope, level, trend, v, s):
@@ -601,8 +569,11 @@ class ArTarget(Target):
     def fitted_jacobian(self, ds, weight, state):
         return state[0]
 
-    def forecast(self, values, ds, i, t_future, state):
-        return ar_forecast_recursive(values, ar_history(ds, i, self.spec.p), len(values))
+    def forecast_state(self, model, ds):
+        return ar_histories(ds, self.spec.p)
+
+    def forecast(self, values, ds, t_future, history):
+        return ar_forecast(values, history)
 
 
 class SmoothingTarget(Target):
@@ -687,10 +658,21 @@ class SmoothingTarget(Target):
         level, trend, ring, _, _ = _ets_forward(self, grid(ds.y), grid(values), mask, inits, ids)
         return _ets_end_states(self, mask, level, trend, ring)
 
-    def forecast(self, values, ds, i, t_future, ends):
-        h = len(values)
-        phi = values[:, PHI] if self.seasonal else np.ones(h)
-        return ets_forecast(ends[i], phi, h, self.spec)
+    def forecast(self, values, ds, t_future, ends):
+        """(l + damping_sum * b) * seasonal, wrapping the ring.
+
+        The "power" convention sums (phi_{t+j})^j over steps j as displayed
+        in the damped-trend formula; "cumprod" the running product instead.
+        """
+        level, trend, ring = ends
+        phi = self.columns(values)[PHI]
+        steps = np.arange(1, phi.shape[1] + 1)
+        if self.spec.damping == "power":
+            terms = _scalar_pow(phi, steps).astype(np.float64)
+        else:
+            terms = np.cumprod(phi, axis=1)
+        damp = np.cumsum(terms, axis=1)
+        return (level[:, None] + damp * trend[:, None]) * ring[:, (steps - 1) % self.m]
 
 
 class LinearSmoothingTarget(SmoothingTarget):
@@ -726,8 +708,9 @@ class StlTarget(Target):
     def fitted_jacobian(self, ds, weight, state):
         return stl_basis(self.spec, ds.time_index) * weight[:, None]
 
-    def forecast(self, values, ds, i, t_future, state):
-        return stl_components(values, t_future, self.spec)[2]
+    def forecast(self, values, ds, t_future, state):
+        S, h, P = values.shape
+        return stl_components(values.reshape(-1, P), t_future.ravel(), self.spec)[2].reshape(S, h)
 
 
 class DirectTarget(ArTarget):
@@ -745,8 +728,11 @@ class DirectTarget(ArTarget):
     def base(self, ds):
         return np.array([float(np.mean(ds.y[ds.mask]))])
 
-    def forecast(self, values, ds, i, t_future, state):
-        return values[:, 0]
+    def forecast_state(self, model, ds):
+        return None
+
+    def forecast(self, values, ds, t_future, state):
+        return values[..., 0]
 
 
 KINDS = {

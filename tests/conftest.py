@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from treecast.data import PanelDataset, TimeSeries, build_lags, extend_timestamps, ingest_csv
-from treecast.datasets import air_passengers_path
+from treecast.datasets import bundled_path
 from treecast.errors import DataError
 from treecast.hypertree import BoostConfig, FeatureRecipe
 from treecast.hypertree import train as train_hypertree
-from treecast.targets import TargetSpec, ets_filter, ets_loss_grad
+from treecast.targets import (EtsState, TargetSpec, _ets_end_states, _ets_forward, ar_forecast,
+                              ets_loss_grad)
+
+from reference_forecast import ar_forecast_recursive
 
 
 def make_panel(series_values, frequency="monthly", start=date(2000, 1, 1), cat=None, num=None):
@@ -50,11 +53,33 @@ def ets_one_series(y, raw, spec, init):
     return loss, g[0], h[0], fitted[0]
 
 
+def ets_filter_one(y, values, spec, init, mask=None, series_id=""):
+    """The smoothing target's panel filter and end-state gather on one
+    series: (fitted, end EtsState).  Padded steps (mask False) freeze the
+    state and fit 0."""
+    y = np.asarray(y, dtype=np.float64)[:, None]
+    values = np.asarray(values, dtype=np.float64)[:, None, :]
+    mask = np.ones(y.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)[:, None]
+    level, trend, ring, v, s = _ets_forward(spec.target, y, values, mask, [init], [series_id])
+    end_level, end_trend, end_ring = _ets_end_states(spec.target, mask, level, trend, ring)
+    return np.where(mask, v * s, 0.0)[:, 0], EtsState(end_level[0], end_trend[0], end_ring[0])
+
+
 def ets_sse(y, raw, spec, init):
     """Squared error of the smoothing filter on one series: the loss of
     ``ets_one_series``, bit for bit, from the forward pass alone."""
-    fitted, _ = ets_filter(y, spec.target.link(raw), spec, init)
+    fitted, _ = ets_filter_one(y, spec.target.link(raw), spec, init)
     return float(np.sum((fitted - y) ** 2))
+
+
+def ar_forecast_one(theta, history, h, intercept=0.0):
+    """The reference AR recursion of one series, checked bit for bit against
+    the panel kernel with S = 1."""
+    want = ar_forecast_recursive(theta, history, h, intercept)
+    got = ar_forecast(np.asarray(theta)[None], np.asarray(history, dtype=np.float64)[None],
+                      np.array([intercept]))
+    assert np.array_equal(got, want[None])
+    return want
 
 
 def ar2_sim(n=300, phi1=0.55, phi2=-0.25, seed=2024, burn=50):
@@ -68,7 +93,7 @@ def ar2_sim(n=300, phi1=0.55, phi2=-0.25, seed=2024, burn=50):
 
 @pytest.fixture(scope="session")
 def air_full():
-    return ingest_csv(air_passengers_path())
+    return ingest_csv(bundled_path("air_passengers.csv"))
 
 
 @pytest.fixture(scope="session")

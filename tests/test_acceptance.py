@@ -17,10 +17,10 @@ from treecast.config import config_from_dict
 from treecast.data import build_lags
 from treecast.hypertree import BoostConfig, FeatureRecipe, forecast, train
 from treecast.metrics import mae, mape, rmse, smape, wape
-from treecast.targets import (Objective, TargetSpec, ar_forecast_recursive, ets_init,
-                              stl_components, stl_loss_grad)
+from treecast.targets import (Objective, TargetSpec, ar_forecast, ets_init, stl_components,
+                              stl_loss_grad)
 
-from conftest import ar2_sim, ets_one_series, ets_sse, make_panel
+from conftest import ar2_sim, ets_filter_one, ets_one_series, ets_sse, make_panel
 from losses import finite_diff_check
 
 
@@ -172,14 +172,12 @@ def test_criterion_03_ols_equivalence():
 
 @criterion(4, "smoothing filter matches an independently coded recursion to 1e-10")
 def test_criterion_04_ets_oracle(air_full):
-    from treecast.targets import ets_filter
-
     y = air_full.y[air_full.rows_of(0)]
     m = 12
     spec = TargetSpec(kind="ets", m=m)
     init = ets_init(y, m, True)
     values = np.tile([0.3, 0.3, 0.3, 0.3], (len(y), 1))
-    fitted, state = ets_filter(y, values, spec, init)
+    fitted, state = ets_filter_one(y, values, spec, init)
 
     # reference recursion, written independently as a plain loop
     a = b = g_ = p = 0.3
@@ -204,13 +202,13 @@ def test_criterion_04_ets_oracle(air_full):
 def test_criterion_05_airline_end_to_end(air_train, air_holdout, air_ar_model, air_full):
     t0 = time.perf_counter()
     model, _ = air_ar_model
-    pred, _ = forecast(model, air_train, 12)["AirPassengers"]
+    (pred,), _ = forecast(model, air_train, 12)
     model_mape = mape(air_holdout, pred)
 
     history = air_full.y[air_full.rows_of(0)][:-12]
     ols = fit_ols_ar(history, 12, intercept=False)
     baseline = mape(air_holdout,
-                    ar_forecast_recursive(np.tile(ols.coefficients, (12, 1)), history, 12))
+                    ar_forecast(np.tile(ols.coefficients, (1, 12, 1)), history[None])[0])
     elapsed = time.perf_counter() - t0
     print(f"  model MAPE={model_mape:.3f} fixed-coefficient baseline={baseline:.3f} "
           f"({elapsed:.1f}s)")
@@ -222,8 +220,8 @@ def test_criterion_05_airline_end_to_end(air_train, air_holdout, air_ar_model, a
 @criterion(6, "averaging parameters over the horizon degrades accuracy by >= 1.2x")
 def test_criterion_06_averaging_ablation(air_train, air_holdout, air_ar_model):
     model, _ = air_ar_model
-    tv, _ = forecast(model, air_train, 12)["AirPassengers"]
-    avg, _ = forecast(model, air_train, 12, average=True)["AirPassengers"]
+    (tv,), _ = forecast(model, air_train, 12)
+    (avg,), _ = forecast(model, air_train, 12, average=True)
     ratio = wape(air_holdout, avg) / wape(air_holdout, tv)
     print(f"  WAPE ratio averaged/time-varying = {ratio:.2f}")
     assert ratio >= 1.2
@@ -318,7 +316,7 @@ def test_criterion_10_parameter_consistency(air_train, air_recipe, air_ar_model,
     print("  exact parameter and embedding repetition verified")
 
     # the treenet model also clears the fixed-coefficient bar (separate flow)
-    pred, _ = forecast(tn_model, air_train, 12)["AirPassengers"]
+    (pred,), _ = forecast(tn_model, air_train, 12)
     from treecast.metrics import mape as _mape
 
     assert _mape(np.asarray([417, 391, 419, 461, 472, 535, 622, 606, 508, 461, 390, 432],

@@ -8,9 +8,11 @@ from treecast.config import config_from_dict
 from treecast.data import pad_for_ets
 from treecast.errors import DataError, NumericError
 from treecast.metrics import wape
-from treecast.targets import TargetSpec, ar_forecast_recursive, ets_filter, ets_forecast, ets_init
+from treecast.targets import TargetSpec, ets_init
 
-from conftest import ar2_sim, drop_last, make_panel
+from conftest import ar2_sim, ar_forecast_one, drop_last, ets_filter_one, make_panel
+from reference_ets import reference_filter
+from reference_forecast import ets_forecast
 
 GRID = [round(0.1 * k, 1) for k in range(1, 10)]
 
@@ -20,7 +22,7 @@ def replay(y, value, kind, m, h, damping="power"):
     parameter at ``value``, then forecast h steps."""
     spec = TargetSpec(kind, m=m, damping=damping)
     values = np.full((len(y), spec.param_count), value)
-    _, state = ets_filter(y, values, spec, ets_init(y, m, kind == "ets"))
+    _, state = reference_filter(y, values, spec, ets_init(y, m, kind == "ets"))
     return ets_forecast(state, np.full(h, value), h, spec)
 
 
@@ -78,7 +80,7 @@ class TestOlsAr:
 
     def test_forecast_recursion(self):
         model = fit_ols_ar(ar2_sim(n=100, seed=9), 2)
-        out = ar_forecast_recursive(np.tile(model.coefficients, (3, 1)), [1.0, 2.0], 3)
+        out = ar_forecast_one(np.tile(model.coefficients, (3, 1)), [1.0, 2.0], 3)
         c = model.coefficients
         e1 = c[0] * 2.0 + c[1] * 1.0
         e2 = c[0] * e1 + c[1] * 2.0
@@ -123,7 +125,7 @@ class TestFixedEts:
         y = observed(ds, 0)
         assert len(y) == 60
         model = BaselineModel.smoothing(TargetSpec("ets", m=12), 0.3)
-        got = forecast_baseline(model, ds, 6)["AirPassengers"][0]
+        got = forecast_baseline(model, ds, 6)[0][0]
         assert np.array_equal(got, replay(y, 0.3, "ets", 12, 6))
 
     def test_gamma_zero_freezes_seasonal(self):
@@ -132,7 +134,7 @@ class TestFixedEts:
         spec = TargetSpec(kind="ets", m=12)
         init = ets_init(y, 12, True)
         values = np.tile([0.5, 0.1, 0.0, 1.0], (36, 1))
-        _, state = ets_filter(y, values, spec, init)
+        _, state = ets_filter_one(y, values, spec, init)
         assert np.allclose(np.sort(state.ring), np.sort(init.ring))
 
     def test_grid_search_is_argmin_of_bruteforce(self):
@@ -172,9 +174,9 @@ class TestBaselineForecast:
         cfg, ds = baseline_panel(target=kind, fixed_value=0.3)
         assert not ds.mask.all()  # unequal lengths: the shorter series are padded
         model = train_baseline(ds, cfg)
-        out = forecast_baseline(model, ds, 12)
+        fc, _ = forecast_baseline(model, ds, 12)
         for i, s in enumerate(ds.series):
-            assert np.array_equal(out[s.series_id][0], replay(observed(ds, i), 0.3, kind, 12, 12))
+            assert np.array_equal(fc[i], replay(observed(ds, i), 0.3, kind, 12, 12))
 
     def test_cumprod_damping_matches_replay(self):
         """The baseline forecasts under the configured damping convention,
@@ -182,15 +184,15 @@ class TestBaselineForecast:
         cfg, ds = baseline_panel(target="ets", fixed_value=0.9, damping="cumprod")
         model = BaselineModel.from_dict(train_baseline(ds, cfg).to_dict())
         assert model.spec == cfg.target_spec(ds.frequency)
-        out = forecast_baseline(model, ds, 12)
+        fc, _ = forecast_baseline(model, ds, 12)
         for i, s in enumerate(ds.series):
             want = replay(observed(ds, i), 0.9, "ets", 12, 12, damping="cumprod")
-            assert np.array_equal(out[s.series_id][0], want)
+            assert np.array_equal(fc[i], want)
 
     def test_ar_with_intercept_matches_hand_recursion(self):
         cfg, ds = baseline_panel(target="ar", p=2, intercept=True)
         model = train_baseline(ds, cfg)
-        out = forecast_baseline(model, ds, 12)
+        fc, _ = forecast_baseline(model, ds, 12)
         for i, s in enumerate(ds.series):
             entry = model.per_series[s.series_id]
             (t1, t2), c = entry["coefficients"], entry["intercept"]
@@ -198,7 +200,7 @@ class TestBaselineForecast:
             y = list(observed(ds, i))
             for _ in range(12):
                 y.append(c + (t1 * y[-1] + t2 * y[-2]))
-            assert np.array_equal(out[s.series_id][0], y[-12:])
+            assert np.array_equal(fc[i], y[-12:])
 
     def test_parameters_tile_the_constants(self):
         cfg, ds = baseline_panel(target="ets", fixed_value=0.7)

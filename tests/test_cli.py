@@ -192,6 +192,21 @@ class TestIngestFaults:
         assert res.exit_code == 3, res.output
         assert f"{data}: not UTF-8 text" in res.output
 
+    def test_oversized_cell_exit_3(self, runner, tmp_path):
+        """A cell past the csv module's field size limit is a data error, in
+        training and at forecast time."""
+        good, huge = tmp_path / "good.csv", tmp_path / "huge.csv"
+        good.write_text(self.airline)
+        huge.write_text(self.airline.replace("1954-01-01,204", "1954-01-01," + "9" * 200_000))
+        res = self.train(runner, tmp_path, huge)
+        assert res.exit_code == 3, res.output
+        assert f"{huge}: line 62: field larger than field limit" in res.output
+        assert self.train(runner, tmp_path, good).exit_code == 0
+        res = runner.invoke(main, ["forecast", "--bundle", str(tmp_path / "b"), "--data", str(huge),
+                                   "--out", str(tmp_path / "fc.csv")])
+        assert res.exit_code == 3, res.output
+        assert f"{huge}: line 62: field larger than field limit" in res.output
+
     def test_byte_order_mark_trains(self, runner, tmp_path):
         data = tmp_path / "bom.csv"
         data.write_bytes(b"\xef\xbb\xbf" + self.airline.encode("utf-8"))
@@ -367,10 +382,10 @@ class TestEvaluate:
 
     def test_reference_flow_end_to_end(self, runner, tmp_path):
         """Baseline smoothing generates the reference file for the scaled error."""
-        from treecast.datasets import air_passengers_path
+        from treecast.datasets import bundled_path
 
         repo = Path(__file__).resolve().parent.parent
-        lines = Path(air_passengers_path()).read_text().strip().splitlines()
+        lines = Path(bundled_path("air_passengers.csv")).read_text().strip().splitlines()
         train_csv = tmp_path / "train.csv"
         train_csv.write_text("\n".join(lines[:-12]) + "\n")  # keep header, drop 1960
         ac = tmp_path / "actuals.csv"
@@ -464,10 +479,10 @@ class TestDecompose:
                                    "--out", str(out)])
         assert res.exit_code == 0, res.output
         from treecast.baselines import classical_decompose
-        from treecast.datasets import air_passengers_path
+        from treecast.datasets import bundled_path
         from treecast.data import ingest_csv
 
-        ds = ingest_csv(air_passengers_path())
+        ds = ingest_csv(bundled_path("air_passengers.csv"))
         trend_ref, seas_ref, _ = classical_decompose(ds.y, 12)
         lines = (out / "components.csv").read_text().strip().splitlines()[1:]
         trend = np.array([float(l.split(",")[2]) for l in lines])

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from treecast.cli import main
 from treecast.data import pad_for_ets
 from treecast.errors import NumericError
-from treecast.targets import HESS_FLOOR, Objective, TargetSpec, ets_filter, ets_init
+from treecast.targets import HESS_FLOOR, EtsState, Objective, TargetSpec, ets_init
 
-from conftest import make_panel
+from conftest import ets_filter_one, make_panel
 from reference_ets import reference_derivatives, reference_filter
 
 RTOL = 1e-12  # of the largest entry of each compared array
@@ -78,7 +78,7 @@ def test_kernel_matches_reference(case):
         return
 
     loss, g, h, fitted = Objective(ds, spec).evaluate(raw)
-    ends = target.forecast_state(FixedParameters(spec, raw), ds)
+    level, trend, ring = target.forecast_state(FixedParameters(spec, raw), ds)
     assert abs(loss - loss_ref) <= RTOL * loss_ref
     for i, (rows, init, values, (_, g_ref, h_ref, fit_ref), fit_filter, end) in enumerate(refs):
         on = ds.mask[rows][:, None]
@@ -87,9 +87,9 @@ def test_kernel_matches_reference(case):
         # the forward arithmetic is the reference filter's, bit for bit
         assert np.array_equal(fitted[rows], fit_ref)
         assert np.array_equal(fitted[rows], fit_filter)
-        one_fit, one_end = ets_filter(ds.y[rows], values, spec, init, ds.mask[rows])
+        one_fit, one_end = ets_filter_one(ds.y[rows], values, spec, init, ds.mask[rows])
         assert np.array_equal(one_fit, fit_filter)
-        for state in (ends[i], one_end):
+        for state in (EtsState(level[i], trend[i], ring[i]), one_end):
             assert (state.level, state.trend) == (end.level, end.trend)
             assert np.array_equal(state.ring, end.ring)
 

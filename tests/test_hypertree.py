@@ -106,9 +106,9 @@ class TestPredictParameters:
 class TestForecast:
     def test_h_zero_empty(self, air_ar_model, air_train):
         model, _ = air_ar_model
-        out = forecast(model, air_train, 0)
-        assert list(out) == ["AirPassengers"]
-        assert len(out["AirPassengers"][0]) == 0
+        fc, future = forecast(model, air_train, 0)
+        assert [s.series_id for s in future] == ["AirPassengers"]
+        assert fc.shape == (1, 0) and len(future[0]) == 0
 
     def test_naive_theta_flat_forecast(self, air_train, air_recipe):
         spec = TargetSpec(kind="ar", p=12)
@@ -121,15 +121,15 @@ class TestForecast:
              for _ in range(12)],
             base, air_recipe, fs.names, fs.kinds,
         )
-        out, _ = forecast(model, air_train, 6)["AirPassengers"]
+        (out,), _ = forecast(model, air_train, 6)
         last = air_train.y[air_train.rows_of(0)][-1]
         assert np.array_equal(out, np.full(6, last))
 
     def test_beats_reasonable_error_on_airp(self, air_ar_model, air_train, air_holdout):
         model, _ = air_ar_model
-        pred, stamps = forecast(model, air_train, 12)["AirPassengers"]
+        (pred,), (future,) = forecast(model, air_train, 12)
         assert mape(air_holdout, pred) < 8.630
-        assert stamps[0].isoformat() == "1960-01-01"
+        assert future.timestamps[0].isoformat() == "1960-01-01"
 
     def test_average_parameters_identity_when_constant(self):
         vals = np.tile([0.5, -0.2], (6, 1))
@@ -141,8 +141,8 @@ class TestForecast:
 
     def test_averaging_hurts_on_airp(self, air_ar_model, air_train, air_holdout):
         model, _ = air_ar_model
-        tv, _ = forecast(model, air_train, 12)["AirPassengers"]
-        avg, _ = forecast(model, air_train, 12, average=True)["AirPassengers"]
+        (tv,), _ = forecast(model, air_train, 12)
+        (avg,), _ = forecast(model, air_train, 12, average=True)
         assert wape(air_holdout, avg) >= wape(air_holdout, tv)
 
     def test_ets_forecast_path(self):
@@ -151,7 +151,7 @@ class TestForecast:
         ds = pad_for_ets(make_panel({"a": y}))
         spec = TargetSpec(kind="ets", m=12)
         model, _ = train(ds, spec, BoostConfig(rounds=30), FeatureRecipe(calendar=("month",)))
-        fc, stamps = forecast(model, ds, 6)["a"]
+        (fc,), _ = forecast(model, ds, 6)
         assert len(fc) == 6
         assert np.all(np.isfinite(fc))
 
@@ -163,7 +163,7 @@ class TestForecast:
         spec = TargetSpec(kind="ets_linear", m=1)
         model, log = train(ds, spec, BoostConfig(rounds=50), FeatureRecipe(calendar=("year",)))
         assert log.losses[-1] < log.losses[0]
-        fc, _ = forecast(model, ds, 5)["a"]
+        (fc,), _ = forecast(model, ds, 5)
         assert np.all(np.diff(fc) > 0)  # trend continues upward
 
     def test_stl_forecast_path(self):
@@ -173,7 +173,7 @@ class TestForecast:
         spec = TargetSpec(kind="stl", n_season=1, period=12)
         recipe = FeatureRecipe(calendar=("month",), include_time=True)
         model, _ = train(ds, spec, BoostConfig(rounds=30), recipe)
-        fc, _ = forecast(model, ds, 6)["a"]
+        (fc,), _ = forecast(model, ds, 6)
         assert len(fc) == 6
         assert np.all(np.isfinite(fc))
 

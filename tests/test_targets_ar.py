@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from treecast.baselines import fit_ols_ar
-from treecast.targets import Objective, TargetSpec, ar_forecast_recursive
+from treecast.targets import Objective, TargetSpec
 
-from conftest import make_panel
+from conftest import ar_forecast_one, make_panel
+from reference_forecast import ar_forecast_recursive
 from losses import finite_diff_check
 from treecast.data import build_lags
 
@@ -65,12 +66,12 @@ class TestDerivatives:
 class TestRecursiveForecast:
     def test_naive_theta_flat(self):
         theta = np.tile([1.0, 0.0], (5, 1))
-        out = ar_forecast_recursive(theta, [3.0, 8.0], 5)
+        out = ar_forecast_one(theta, [3.0, 8.0], 5)
         assert np.array_equal(out, np.full(5, 8.0))
 
     def test_order_one_constant(self):
         theta = np.ones((4, 1))
-        out = ar_forecast_recursive(theta, [5.0], 4)
+        out = ar_forecast_one(theta, [5.0], 4)
         assert np.array_equal(out, np.full(4, 5.0))
 
     def test_matches_ols_oracle(self):
@@ -83,14 +84,14 @@ class TestRecursiveForecast:
             for _ in range(8):
                 hist.append(c + sum(a * hist[-1 - j] for j, a in enumerate(model.coefficients)))
             theta = np.tile(model.coefficients, (8, 1))
-            got = ar_forecast_recursive(theta, y, 8, c)
+            got = ar_forecast_one(theta, y, 8, c)
             assert np.allclose(got, hist[-8:], atol=1e-10)
 
     def test_h1_equals_fit_on_appended_row(self):
         rng = np.random.default_rng(3)
         hist = rng.uniform(1, 5, 6)
         theta = rng.normal(0, 0.4, (1, 4))
-        fc = ar_forecast_recursive(theta, hist, 1)
+        fc = ar_forecast_one(theta, hist, 1)
         fitted, _, _ = ar_evaluate(np.append(hist, 0.0), theta[0])
         assert fc[0] == pytest.approx(fitted[-1], abs=1e-12)
 

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treecast.errors import NumericError
-from treecast.targets import EtsState, TargetSpec, ets_filter, ets_forecast, ets_init
+from treecast.targets import PHI, EtsState, TargetSpec, ets_init
 
-from conftest import ets_one_series, ets_sse
+from conftest import ets_filter_one, ets_one_series, ets_sse
 from losses import finite_diff_check
+from reference_forecast import ets_forecast
 
 
 def spec_ets(m=12, damping="power"):
@@ -18,10 +19,22 @@ def constant_values(n, alpha, beta, gamma, phi):
     return np.tile([alpha, beta, gamma, phi], (n, 1)).astype(np.float64)
 
 
+def forecast_one(state, phi_future, h, spec):
+    """The reference one-series forecast, checked bit for bit against the
+    target's panel forecast of the same series (S = 1)."""
+    want = ets_forecast(state, phi_future, h, spec)
+    values = np.zeros((1, h, spec.param_count))
+    if spec.target.seasonal:
+        values[0, :, PHI] = phi_future
+    ends = (np.array([state.level]), np.array([state.trend]), state.ring[None])
+    assert np.array_equal(spec.target.forecast(values, None, None, ends), want[None])
+    return want
+
+
 class TestFilter:
     def test_hand_recursion(self):
         state = EtsState(100.0, 10.0, np.ones(1))
-        fitted, out = ets_filter(
+        fitted, out = ets_filter_one(
             np.array([120.0]), constant_values(1, 0.5, 0.5, 0.0, 1.0),
             spec_ets(m=1), state,
         )
@@ -33,8 +46,8 @@ class TestFilter:
     def test_alpha_one_is_naive(self):
         y = np.array([5.0, 9.0, 4.0, 7.0])
         state = EtsState(y[0], 0.0, np.ones(1))
-        fitted, out = ets_filter(y, constant_values(4, 1.0, 0.0, 0.0, 1.0),
-                                 spec_ets(m=1), state)
+        fitted, out = ets_filter_one(y, constant_values(4, 1.0, 0.0, 0.0, 1.0),
+                                     spec_ets(m=1), state)
         assert out.level == y[-1]
         assert np.array_equal(fitted[1:], y[:-1])
 
@@ -45,7 +58,7 @@ class TestFilter:
         spec = spec_ets(m=m)
         init = ets_init(y, m, True)
         values = constant_values(len(y), 0.3, 0.3, 0.3, 0.3)
-        fitted, state = ets_filter(y, values, spec, init)
+        fitted, state = ets_filter_one(y, values, spec, init)
 
         # oracle: 1-based indexing, explicit seasonal history list
         a = b = g = p = 0.3
@@ -70,15 +83,15 @@ class TestFilter:
         init = EtsState(1.0, 0.0, np.ones(2))
         values = constant_values(3, 0.9, 0.5, 0.5, 1.0)
         with pytest.raises(NumericError, match="step"):
-            ets_filter(y, values, spec_ets(m=2), init, series_id="bad")
+            ets_filter_one(y, values, spec_ets(m=2), init, series_id="bad")
 
     def test_masked_steps_freeze_state(self):
         y = np.array([10.0, 12.0, 999.0, 999.0])
         mask = np.array([True, True, False, False])
         init = ets_init(y[:2], 2, True)
         values = constant_values(4, 0.4, 0.3, 0.2, 0.9)
-        fitted, state = ets_filter(y, values, spec_ets(m=2), init, mask)
-        fitted2, state2 = ets_filter(y[:2], values[:2], spec_ets(m=2), init)
+        fitted, state = ets_filter_one(y, values, spec_ets(m=2), init, mask)
+        fitted2, state2 = ets_filter_one(y[:2], values[:2], spec_ets(m=2), init)
         assert np.array_equal(fitted[:2], fitted2)
         assert fitted[2] == 0.0 and fitted[3] == 0.0
         assert state.level == state2.level and state.trend == state2.trend
@@ -89,8 +102,8 @@ class TestFilter:
         y = 20 + np.abs(rng.normal(0, 2, 30))
         init = ets_init(y, 4, True)
         values = spec_ets(m=4).target.link(rng.normal(0, 1, (30, 4)))
-        f1, s1 = ets_filter(y, values, spec_ets(m=4), init)
-        f2, s2 = ets_filter(y, values, spec_ets(m=4), init)
+        f1, s1 = ets_filter_one(y, values, spec_ets(m=4), init)
+        f2, s2 = ets_filter_one(y, values, spec_ets(m=4), init)
         assert np.array_equal(f1, f2)
         assert s1.level == s2.level and np.array_equal(s1.ring, s2.ring)
 
@@ -99,24 +112,24 @@ class TestForecast:
     def test_linear_trend_limit(self):
         state = EtsState(10.0, 2.0, np.ones(1))
         spec = TargetSpec(kind="ets_linear", m=1)
-        out = ets_forecast(state, np.ones(4), 4, spec)
+        out = forecast_one(state, np.ones(4), 4, spec)
         assert np.allclose(out, [12.0, 14.0, 16.0, 18.0])
 
     def test_zero_trend_seasonal_wrap(self):
         ring = np.array([0.8, 1.2, 1.0])
         state = EtsState(100.0, 0.0, ring)
-        out = ets_forecast(state, np.ones(6), 6, spec_ets(m=3))
+        out = forecast_one(state, np.ones(6), 6, spec_ets(m=3))
         assert np.allclose(out, [80.0, 120.0, 100.0, 80.0, 120.0, 100.0])
 
     def test_damping_power_example(self):
         state = EtsState(100.0, 10.0, np.ones(1))
-        out = ets_forecast(state, np.full(2, 0.5), 2, spec_ets(m=1))
+        out = forecast_one(state, np.full(2, 0.5), 2, spec_ets(m=1))
         assert out[1] == pytest.approx(100.0 + (0.5 + 0.25) * 10.0)
 
     def test_damping_cumprod_convention(self):
         state = EtsState(100.0, 10.0, np.ones(1))
         phis = np.array([0.5, 0.8])
-        out = ets_forecast(state, phis, 2, spec_ets(m=1, damping="cumprod"))
+        out = forecast_one(state, phis, 2, spec_ets(m=1, damping="cumprod"))
         assert out[1] == pytest.approx(100.0 + (0.5 + 0.4) * 10.0)
 
 

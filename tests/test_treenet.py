@@ -141,7 +141,7 @@ class TestTraining:
         for flow in ("separate", "shared"):
             model, _ = train(air_train, spec, BoostConfig(rounds=200),
                              NetConfig(flow=flow), seed=42, recipe=air_recipe)
-            pred, _ = forecast(model, air_train, 12)["AirPassengers"]
+            (pred,), _ = forecast(model, air_train, 12)
             scores[flow] = wape(air_holdout, pred)
         assert abs(scores["shared"] - scores["separate"]) <= 0.10 * scores["separate"]
 
@@ -156,7 +156,7 @@ class TestTraining:
         model, log = train(ds, spec, BoostConfig(rounds=20), NetConfig(), seed=4)
         assert np.isfinite(log.losses).all()
         assert log.losses[-1] < log.losses[0]
-        fc, _ = forecast(model, ds, 6)["a"]
+        (fc,), _ = forecast(model, ds, 6)
         assert np.all(np.isfinite(fc))
 
     def test_direct_target_forecasts_from_features(self):
@@ -167,7 +167,7 @@ class TestTraining:
         spec = TargetSpec(kind="direct")
         model, log = train(ds, spec, BoostConfig(rounds=60), NetConfig(), seed=3)
         assert log.losses[-1] < log.losses[0]
-        fc, _ = forecast(model, ds, 6)["a"]
+        (fc,), _ = forecast(model, ds, 6)
         assert len(fc) == 6 and np.all(np.isfinite(fc))
 
     def test_inert_when_all_rates_zero(self):
@@ -217,8 +217,8 @@ class TestTraining:
                            NetConfig(encoder="features"), seed=2)
         assert model.ensembles == []
         assert log.losses[-1] < log.losses[0]
-        fc = forecast(model, ds, 4)
-        assert len(fc["a"][0]) == 4
+        fc, _ = forecast(model, ds, 4)
+        assert fc.shape == (1, 4)
 
     def test_no_projection_mode(self):
         ds = ar_panel()
