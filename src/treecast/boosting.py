@@ -27,6 +27,14 @@ Ties: gains within TIE_RTOL (relative) of a node's best count as tied, and
 the lowest feature id, then the lowest threshold, wins.  Different scans sum
 in different orders, so this keeps the choice independent of summation
 order as well as of evaluation order.
+
+Trees are applied from a NodeTable: every node of a list of trees in
+preorder, as columns (feature, threshold, children, leaf value, CSR
+linear-leaf terms, sorted categorical codes).  All rows move through all
+trees of a block one depth at a time, by fancy indexing on a (tree, row)
+array of node ids.  ``tree_values`` evaluates one tree this way and
+``TreeEnsemble.predict`` every tree of the ensemble, in blocks of at most
+_GRID_CELLS (tree, row) cells, adding the trees' values in tree order.
 """
 
 from __future__ import annotations
@@ -54,14 +62,6 @@ def leaf_weight(G: float, H: float, lam: float) -> float:
     if denom <= 0.0:
         raise NumericError(f"leaf weight undefined: H+lambda = {denom}")
     return -G / denom
-
-
-def split_gain(GL: float, HL: float, GR: float, HR: float, lam: float) -> float:
-    return (
-        GL * GL / (HL + lam)
-        + GR * GR / (HR + lam)
-        - (GL + GR) ** 2 / (HL + HR + lam)
-    )
 
 
 @dataclass
@@ -99,14 +99,6 @@ class Leaf:
     def is_linear(self):
         return self.intercept is not None
 
-    def value(self, X, idx):
-        if not self.is_linear:
-            return np.full(len(idx), self.weight)
-        out = np.full(len(idx), self.intercept)
-        for fid, c in zip(self.lin_features, self.lin_coef):
-            out += c * X[idx, fid]
-        return out
-
 
 class Split:
     __slots__ = ("feature", "kind", "threshold", "codes", "left", "right", "gain")
@@ -119,12 +111,6 @@ class Split:
         self.left = left
         self.right = right
         self.gain = gain
-
-    def goes_left(self, X, idx):
-        v = X[idx, self.feature]
-        if self.kind == "num":
-            return v < self.threshold
-        return np.isin(v.astype(np.int64), list(self.codes))
 
 
 def fit_linear_leaf(Xn, feature_ids, g, h, lam, ridge):
@@ -157,7 +143,7 @@ def fit_linear_leaf(Xn, feature_ids, g, h, lam, ridge):
 
 TIE_RTOL = 1e-12            # gains this close to a node's best count as tied
 DENSE_ROWS_PER_VALUE = 4    # columns with at least this many rows per distinct value use the grid
-_GRID_CELLS = 1 << 18       # scan cells per batch of nodes; bounds the scan's memory
+_GRID_CELLS = 1 << 18       # cells per batch of a scan or of tree evaluation; bounds their memory
 
 
 class SplitMatrix:
@@ -546,61 +532,133 @@ class _LevelGrower:
         return Leaf(b0)
 
 
-def _grow(matrix: SplitMatrix, g, h, counts, params: BoostConfig, log):
-    if counts is None:
-        counts = np.ones(len(g))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _LevelGrower(matrix, g, h, counts, params).grow(log)
+class NodeTable:
+    """Every node of a list of trees in preorder, as columns.
 
-
-def grow_tree(X, kinds, g, h, idx, params: BoostConfig, counts=None, log=None):
-    """Grow one tree by greedy gain maximization, level by level.
-
-    ``idx`` selects the training rows; ``counts`` (0/1 per row) says which
-    rows count toward min_leaf (masked rows carry g=h=0 and count 0).
-    Splits require positive gain and min_leaf on both children; depth is
-    limited by params.max_depth.  This one-off entry builds the SplitMatrix
-    of ``X[idx]``; ``TreeEnsemble.boost_round`` grows on a shared one.
+    Per node: ``is_split``, ``feature``, ``threshold`` (NaN but at
+    numeric splits), ``left`` and ``right`` (a leaf points to itself),
+    ``value`` (a leaf's weight, its intercept if linear; 0 at a split) and
+    ``gain`` (0 at a leaf).  Linear-leaf terms are CSR rows: node i's
+    features and coefficients are ``lin_feature``/``lin_coef`` at
+    ``lin_ptr[i]:lin_ptr[i + 1]``.  The codes a categorical split
+    (``is_cat``) sends left are sorted keys ``node * len(codes) + rank`` in
+    ``cat_keys``, where ``codes`` are the distinct codes of every such
+    split.  ``roots`` gives each tree's first node.
     """
-    idx = np.asarray(idx)
-    if counts is not None:
-        counts = counts[idx]
-    return _grow(SplitMatrix(X[idx], kinds), g[idx], h[idx], counts, params, log)
+
+    def __init__(self, trees):
+        is_split, splits, leaves, roots = [], [], [], []
+        for tree in trees:
+            roots.append(len(is_split))
+            stack = [tree]
+            while stack:
+                node = stack.pop()
+                if node.__class__ is Split:
+                    is_split.append(True)
+                    splits.append(node)
+                    stack.append(node.right)
+                    stack.append(node.left)
+                else:
+                    is_split.append(False)
+                    leaves.append(node)
+        self.is_split = is_split = np.array(is_split, dtype=bool)
+        n = len(is_split)
+        ids = np.arange(n)
+
+        # In preorder a split's left child is the next node.  Let a node's
+        # level be the count of splits minus leaves before it: the left child
+        # is one level above its split, the left subtree stays above it, and
+        # the right child is the next node back at the split's level.
+        step = np.where(is_split, 1, -1)
+        level = np.cumsum(step) - step
+        by_level = np.argsort(level, kind="stable")
+        after = ids.copy()      # the next node of the same level
+        after[by_level[:-1]] = by_level[1:]
+        self.left = np.where(is_split, ids + 1, ids)
+        self.right = np.where(is_split, after, ids)
+        self.roots = np.array(roots, dtype=np.intp)
+
+        self.feature = np.zeros(n, dtype=np.intp)
+        self.feature[is_split] = [s.feature for s in splits]
+        self.gain = np.zeros(n)
+        self.gain[is_split] = [s.gain for s in splits]
+        cat = [s.kind == "cat" for s in splits]
+        self.is_cat = np.zeros(n, dtype=bool)
+        self.is_cat[is_split] = cat
+        self.threshold = np.full(n, np.nan)
+        self.threshold[is_split & ~self.is_cat] = [s.threshold for s, c in zip(splits, cat)
+                                                   if not c]
+        cat_codes = [sorted(s.codes) for s, c in zip(splits, cat) if c]
+        codes = np.array([c for cs in cat_codes for c in cs], dtype=np.int64)
+        self.codes = self.cat_keys = codes
+        if len(codes):
+            self.codes = np.unique(codes)
+            owner = np.repeat(ids[self.is_cat], [len(cs) for cs in cat_codes])
+            self.cat_keys = owner * len(self.codes) + np.searchsorted(self.codes, codes)
+
+        self.value = np.zeros(n)
+        self.value[~is_split] = [leaf.weight if leaf.intercept is None else leaf.intercept
+                                 for leaf in leaves]
+        linear = [leaf for leaf in leaves if leaf.lin_features]
+        self.lin_feature = np.array([f for leaf in linear for f in leaf.lin_features],
+                                    dtype=np.intp)
+        self.lin_coef = np.array([c for leaf in linear for c in leaf.lin_coef],
+                                 dtype=np.float64)
+        self.lin_ptr = np.zeros(n + 1, dtype=np.intp)
+        if linear:
+            self.lin_ptr[1:][~is_split] = [len(leaf.lin_features or ()) for leaf in leaves]
+            np.cumsum(self.lin_ptr, out=self.lin_ptr)
+
+    def in_codes(self, node, codes):
+        """Whether each code is one its categorical split sends left."""
+        rank = np.minimum(np.searchsorted(self.codes, codes), len(self.codes) - 1)
+        key = node * len(self.codes) + rank
+        at = np.minimum(np.searchsorted(self.cat_keys, key), len(self.cat_keys) - 1)
+        return (self.codes[rank] == codes) & (self.cat_keys[at] == key)
+
+    def evaluate(self, X, a=0, b=None):
+        """(trees, rows) values of trees [a, b) at every row of X.
+
+        Every row moves through every tree one depth at a time, until all
+        are at leaves; a row at a leaf stays there.  A categorical split
+        without codes sends every row right, as its NaN threshold does.  A
+        linear leaf adds its terms in stored order.
+        """
+        b = len(self.roots) if b is None else min(b, len(self.roots))
+        rows = np.arange(X.shape[0])
+        node = np.broadcast_to(self.roots[a:b, None], (b - a, len(rows)))
+        while self.is_split[node].any():
+            v = X[rows, self.feature[node]]
+            left = v < self.threshold[node]
+            if len(self.cat_keys):
+                cat = self.is_cat[node]
+                left[cat] = self.in_codes(node[cat], v[cat].astype(np.int64))
+            node = np.where(left, self.left[node], self.right[node])
+        out = self.value[node]
+        if len(self.lin_coef):
+            start = self.lin_ptr[node]
+            n_terms = self.lin_ptr[node + 1] - start
+            for k in range(n_terms.max(initial=0)):
+                t, r = np.nonzero(n_terms > k)
+                j = start[t, r] + k
+                out[t, r] += self.lin_coef[j] * X[r, self.lin_feature[j]]
+        return out
 
 
-def tree_values(node, X, idx=None):
-    """Evaluate one tree on rows idx of X."""
-    if idx is None:
-        idx = np.arange(X.shape[0])
-    out = np.empty(len(idx))
-
-    def walk(node, sub, pos):
-        if isinstance(node, Leaf):
-            out[pos] = node.value(X, sub)
-            return
-        left = node.goes_left(X, sub)
-        if left.any():
-            walk(node.left, sub[left], pos[left])
-        if not left.all():
-            walk(node.right, sub[~left], pos[~left])
-
-    walk(node, np.asarray(idx), np.arange(len(idx)))
-    return out
-
-
-def tree_gain_by_feature(node, acc):
-    if isinstance(node, Split):
-        acc[node.feature] = acc.get(node.feature, 0.0) + node.gain
-        tree_gain_by_feature(node.left, acc)
-        tree_gain_by_feature(node.right, acc)
-    return acc
+def tree_values(tree, X):
+    """One tree's values at every row of X."""
+    return NodeTable([tree]).evaluate(X)[0]
 
 
 class TreeEnsemble:
     """Ordered additive ensemble: prediction = base + sum(lr * tree(x)).
 
-    Appending a tree never mutates earlier trees; a trained ensemble is
-    immutable for prediction purposes and shareable across threads.
+    Trees stay ``Leaf``/``Split`` graphs, the form the ensemble file
+    stores.  ``predict`` lays them out as one ``NodeTable`` per call and
+    evaluates them in blocks of at most _GRID_CELLS (tree, row) cells, then
+    adds the trees' values in tree order.  Appending a tree never mutates
+    earlier trees; a trained ensemble is immutable for prediction purposes
+    and shareable across threads.
     """
 
     def __init__(self, params: BoostConfig, base: float = 0.0, n_features: int | None = None):
@@ -615,23 +673,33 @@ class TreeEnsemble:
                 f"ensemble expects {self.n_features} features, got {X.shape[1]}"
             )
         out = np.full(X.shape[0], self.base, dtype=np.float64)
-        for tree in self.trees:
-            out += self.params.learning_rate * tree_values(tree, X)
+        table = NodeTable(self.trees)
+        block = max(1, _GRID_CELLS // max(X.shape[0], 1))
+        for a in range(0, len(self.trees), block):
+            for values in self.params.learning_rate * table.evaluate(X, a, a + block):
+                out += values
         return out
 
     def boost_round(self, matrix: SplitMatrix, g, h, counts=None, log=None):
         """Append one tree grown on (g, h) over the rows of ``matrix``; g must
-        match current predictions."""
+        match current predictions.  ``counts`` (0/1 per row, default all 1)
+        says which rows count toward min_leaf."""
         if self.n_features is None:
             self.n_features = matrix.X.shape[1]
-        tree = _grow(matrix, g, h, counts, self.params, log)
+        if counts is None:
+            counts = np.ones(len(g))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tree = _LevelGrower(matrix, g, h, counts, self.params).grow(log)
         self.trees.append(tree)
         return tree
 
     def gain_importances(self) -> dict:
+        """Summed split gain per feature, added in preorder, tree by tree."""
+        table = NodeTable(self.trees)
         acc: dict = {}
-        for tree in self.trees:
-            tree_gain_by_feature(tree, acc)
+        for f, gain in zip(table.feature[table.is_split].tolist(),
+                           table.gain[table.is_split].tolist()):
+            acc[f] = acc.get(f, 0.0) + gain
         return acc
 
     # -- persistence ---------------------------------------------------

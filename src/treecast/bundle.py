@@ -5,11 +5,14 @@ map, and the training log.  ``_FAMILIES`` maps a manifest's family to the
 model class that decodes it; the models themselves live in ``hypertree``,
 ``treenet`` and ``baselines``.  Floats are serialized with their shortest
 round-tripping representation, so save/load is bit-exact.  All writes go
-through a temp file plus rename.
+through a temp file plus rename.  Saving and loading suspend the cyclic
+garbage collector (see ``_without_cyclic_gc``).
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 import os
 import tempfile
@@ -80,12 +83,35 @@ def read_value_csv(path) -> dict:
 # bundle directories
 # --------------------------------------------------------------------------
 
+def _without_cyclic_gc(fn):
+    """Make ``fn`` run with the cyclic garbage collector suspended.
+
+    A bundle's trees are tens of thousands of dicts and nodes that all stay
+    alive until the call returns, so a collection during the call frees
+    nothing, yet a full one walks every live object.  Whether one falls
+    inside a save or load would depend on what the process allocated
+    before.  The collector's state is restored on return, also when it was
+    off to begin with.
+    """
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return wrapper
+
+
 def _dumps(obj) -> str:
     # indentation would force json's pure-Python encoder; compact output
     # takes the C encoder and carries no whitespace
     return json.dumps(obj, separators=(",", ":"))
 
 
+@_without_cyclic_gc
 def save_bundle(path, model, log=None, config_echo=None, code_maps=None, seed=None):
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
@@ -126,6 +152,7 @@ def _read_json(path: Path):
         raise DataError(f"{path}: not valid JSON ({exc})")
 
 
+@_without_cyclic_gc
 def load_bundle(path):
     path = Path(path)
     mpath = path / "manifest.json"

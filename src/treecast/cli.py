@@ -329,6 +329,8 @@ def cmd_export(bundle_dir, data_path, what, horizon, out):
         raise ConfigError("embeddings are only available from a treenet bundle")
     cfg, ds = _dataset_for_bundle(manifest, code_maps, data_path)
     h = horizon if horizon is not None else cfg.eval.horizon
+    if h < 1:
+        raise ConfigError("horizon: must be >= 1")
     out = out or f"{what}.csv"
     rows = export_rows(model, ds, h, what)
     if what == "parameters":

@@ -480,17 +480,6 @@ def _stl_loss(raw, t, y, spec: TargetSpec, mask, series_idx):
     return loss, g, h, fitted
 
 
-def stl_loss_grad(raw, t, y, spec: TargetSpec, mask=None):
-    """The trend + Fourier loss of one series: the one-series call of the
-    panel loss the STL target runs (see ``_stl_loss``).
-    Returns (loss, g, h, fitted).
-    """
-    y = np.asarray(y, dtype=np.float64)
-    mask = np.ones(len(y), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    return _stl_loss(np.asarray(raw, dtype=np.float64), t, y, spec, mask,
-                     np.zeros(len(y), dtype=np.int64))
-
-
 # --------------------------------------------------------------------------
 # one class per target kind
 # --------------------------------------------------------------------------

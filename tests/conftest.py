@@ -8,8 +8,8 @@ from treecast.datasets import bundled_path
 from treecast.errors import DataError
 from treecast.hypertree import BoostConfig, FeatureRecipe
 from treecast.hypertree import train as train_hypertree
-from treecast.targets import (EtsState, TargetSpec, _ets_end_states, _ets_forward, ar_forecast,
-                              ets_loss_grad)
+from treecast.targets import (EtsState, TargetSpec, _ets_end_states, _ets_forward, _stl_loss,
+                              ar_forecast, ets_loss_grad)
 
 from reference_forecast import ar_forecast_recursive
 
@@ -70,6 +70,17 @@ def ets_sse(y, raw, spec, init):
     ``ets_one_series``, bit for bit, from the forward pass alone."""
     fitted, _ = ets_filter_one(y, spec.target.link(raw), spec, init)
     return float(np.sum((fitted - y) ** 2))
+
+
+def stl_loss_grad(raw, t, y, spec, mask=None):
+    """The trend + Fourier loss of one series: the one-series call of the
+    panel loss the STL target runs (see ``targets._stl_loss``).
+    Returns (loss, g, h, fitted).
+    """
+    y = np.asarray(y, dtype=np.float64)
+    mask = np.ones(len(y), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    return _stl_loss(np.asarray(raw, dtype=np.float64), t, y, spec, mask,
+                     np.zeros(len(y), dtype=np.int64))
 
 
 def ar_forecast_one(theta, history, h, intercept=0.0):

@@ -1,4 +1,5 @@
-"""Reference split engine: the recursive, node-by-node exact greedy search.
+"""Reference tree engine: the recursive, node-by-node exact greedy search
+and the recursive tree evaluator.
 
 Each node sorts every numeric column and cumsums g, h and the count weight
 along it; each categorical column orders the node's codes by G/H and scans
@@ -6,12 +7,84 @@ prefixes.  The tie rule is the engine's: among candidates within TIE_RTOL of
 the node's best gain, the lowest feature id wins, then the lowest threshold.
 A constant leaf sums its g and h in row order, one addition at a time, as
 the engine's bincount does, so leaf values match with float gradients too.
-Tests compare ``treecast.boosting.grow_tree`` against it.
+Tests compare ``grow_tree``, the level-wise engine's one-tree entry, against
+it.
+
+``reference_tree_values`` walks a tree recursively, splitting the row set
+at each node; the node-table evaluator (``treecast.boosting.tree_values``
+and ``TreeEnsemble.predict``) must give the same values bit for bit.
 """
 
 import numpy as np
 
-from treecast.boosting import TIE_RTOL, Leaf, Split, fit_linear_leaf, leaf_weight
+from treecast.boosting import (TIE_RTOL, Leaf, Split, SplitMatrix, TreeEnsemble,
+                               fit_linear_leaf, leaf_weight)
+
+
+def split_gain(GL: float, HL: float, GR: float, HR: float, lam: float) -> float:
+    return (
+        GL * GL / (HL + lam)
+        + GR * GR / (HR + lam)
+        - (GL + GR) ** 2 / (HL + HR + lam)
+    )
+
+
+def grow_tree(X, kinds, g, h, idx, params, counts=None, log=None):
+    """Grow one tree with the level-wise engine on rows ``idx`` of X.
+
+    ``counts`` (0/1 per row) says which rows count toward min_leaf (masked
+    rows carry g=h=0 and count 0).  Builds the SplitMatrix of ``X[idx]``
+    and runs one ``TreeEnsemble.boost_round`` on it.
+    """
+    idx = np.asarray(idx)
+    if counts is not None:
+        counts = counts[idx]
+    return TreeEnsemble(params).boost_round(SplitMatrix(X[idx], kinds), g[idx], h[idx],
+                                            counts, log)
+
+
+def reference_leaf_value(leaf, X, idx):
+    if not leaf.is_linear:
+        return np.full(len(idx), leaf.weight)
+    out = np.full(len(idx), leaf.intercept)
+    for fid, c in zip(leaf.lin_features, leaf.lin_coef):
+        out += c * X[idx, fid]
+    return out
+
+
+def reference_goes_left(split, X, idx):
+    v = X[idx, split.feature]
+    if split.kind == "num":
+        return v < split.threshold
+    return np.isin(v.astype(np.int64), list(split.codes))
+
+
+def reference_tree_values(node, X, idx=None):
+    """Evaluate one tree on rows idx of X."""
+    if idx is None:
+        idx = np.arange(X.shape[0])
+    out = np.empty(len(idx))
+
+    def walk(node, sub, pos):
+        if isinstance(node, Leaf):
+            out[pos] = reference_leaf_value(node, X, sub)
+            return
+        left = reference_goes_left(node, X, sub)
+        if left.any():
+            walk(node.left, sub[left], pos[left])
+        if not left.all():
+            walk(node.right, sub[~left], pos[~left])
+
+    walk(node, np.asarray(idx), np.arange(len(idx)))
+    return out
+
+
+def reference_predict(ensemble, X):
+    """base + sum(lr * tree(x)), added tree by tree."""
+    out = np.full(X.shape[0], ensemble.base, dtype=np.float64)
+    for tree in ensemble.trees:
+        out += ensemble.params.learning_rate * reference_tree_values(tree, X)
+    return out
 
 
 def _prefix_gains(GL, HL, CL, G, H, C, lam, min_leaf):

@@ -11,17 +11,18 @@ from click.testing import CliRunner
 
 from treecast import treenet
 from treecast.baselines import classical_decompose, fit_ols_ar
-from treecast.boosting import Leaf, Split, grow_tree, split_gain
+from treecast.boosting import Leaf, Split
 from treecast.cli import main, run_scaling_benchmark
 from treecast.config import config_from_dict
 from treecast.data import build_lags
 from treecast.hypertree import BoostConfig, FeatureRecipe, forecast, train
 from treecast.metrics import mae, mape, rmse, smape, wape
-from treecast.targets import (Objective, TargetSpec, ar_forecast, ets_init, stl_components,
-                              stl_loss_grad)
+from treecast.targets import Objective, TargetSpec, ar_forecast, ets_init, stl_components
 
-from conftest import ar2_sim, ets_filter_one, ets_one_series, ets_sse, make_panel
+from conftest import (ar2_sim, ets_filter_one, ets_one_series, ets_sse, make_panel,
+                      stl_loss_grad)
 from losses import finite_diff_check
+from reference_engine import grow_tree, reference_goes_left, split_gain
 
 
 def criterion(num, desc):
@@ -145,7 +146,7 @@ def test_criterion_02_engine_oracle():
                 G, H = g[idx].sum(), h[idx].sum()
                 assert abs(node.weight - (-G / (H + lam))) <= 1e-12
                 return
-            left = node.goes_left(X, idx)
+            left = reference_goes_left(node, X, idx)
             check(node.left, idx[left])
             check(node.right, idx[~left])
 

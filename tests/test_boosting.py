@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treecast.boosting import (HESS_FLOOR, BoostConfig, Leaf, Split, SplitMatrix,
-                               TreeEnsemble, fit_linear_leaf, floor_hessian, grow_tree,
-                               leaf_weight, split_gain)
+                               TreeEnsemble, fit_linear_leaf, floor_hessian, leaf_weight)
 from treecast.errors import NumericError
+
+from reference_engine import grow_tree, split_gain
 
 
 class TestLeafWeight:

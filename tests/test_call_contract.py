@@ -5,8 +5,10 @@ call ``TreeEnsemble.boost_round`` and ``boosting.tree_values`` once per round
 and ensemble; the tracer counts the calls and fails the run when they
 differ.  Growing the trees of a round in one call, or updating predictions
 from a leaf cache instead of re-walking each new tree, breaks that count,
-so such a change must update the benchmark first.  These tests fail here
-rather than only in a traced benchmark run.
+so such a change must update the benchmark first.  The traced run also
+requires ``TreeEnsemble.predict`` to be called once per ensemble for each
+``predict_parameters`` call.  These tests fail here rather than only in a
+traced benchmark run.
 """
 
 import sys
@@ -69,3 +71,42 @@ def test_treenet_one_call_each_per_round_and_dimension(calls):
                   net, seed=0)
     expected = ROUNDS * net.d
     assert calls == {"boost_round": expected, "tree_values": expected}
+
+
+@pytest.fixture
+def predicts(monkeypatch):
+    """Counts of TreeEnsemble.predict calls and of predict_parameters calls
+    of either model family."""
+    counts = {"predict": 0, "predict_parameters": 0}
+
+    def counted(owner, attr, key):
+        original = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    counted(boosting.TreeEnsemble, "predict", "predict")
+    counted(hypertree.HyperTreeModel, "predict_parameters", "predict_parameters")
+    counted(treenet.TreeNetModel, "predict_parameters", "predict_parameters")
+    return counts
+
+
+def test_hypertree_one_predict_per_parameter_and_forecast(predicts):
+    spec = TargetSpec(kind="ar", p=3)
+    ds = panel(3)
+    model, _ = hypertree.train(ds, spec, BoostConfig(rounds=ROUNDS, max_depth=2))
+    hypertree.forecast(model, ds, 4)
+    assert predicts["predict_parameters"] == 1
+    assert predicts["predict"] == spec.param_count * predicts["predict_parameters"]
+
+
+def test_treenet_one_predict_per_dimension_and_forecast(predicts):
+    net = NetConfig(d=2, hidden=8)
+    ds = panel(3)
+    model, _ = treenet.train(ds, TargetSpec(kind="ar", p=3),
+                             BoostConfig(rounds=ROUNDS, max_depth=2), net, seed=0)
+    hypertree.forecast(model, ds, 4)
+    assert predicts["predict_parameters"] == 1
+    assert predicts["predict"] == net.d * predicts["predict_parameters"]

@@ -533,6 +533,16 @@ class TestExport:
         res = runner.invoke(main, ["export", "--bundle", str(out), "--what", "embeddings"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("horizon", ["0", "-3"])
+    def test_horizon_below_one_exit_2(self, runner, tmp_path, trained_bundle, horizon):
+        exp = tmp_path / "params.csv"
+        res = runner.invoke(main, ["export", "--bundle", str(trained_bundle), "--what",
+                                   "parameters", "--horizon", horizon, "--out", str(exp)])
+        assert res.exit_code == 2, res.output
+        assert "horizon: must be >= 1" in res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert not exp.exists()
+
 
 class TestBenchScaling:
     def test_smoke(self, runner, tmp_path):

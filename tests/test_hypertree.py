@@ -207,3 +207,27 @@ class TestPersistence:
             back, _, _ = load_bundle(path)
             assert back.to_dict() == model.to_dict()
             assert np.array_equal(back.predict_raw(fs.X), model.predict_raw(fs.X))
+
+    def test_save_and_load_restore_the_collector(self, air_ar_model, tmp_path, monkeypatch):
+        import gc
+
+        from treecast.bundle import load_bundle, save_bundle
+        from treecast.errors import DataError
+
+        model, log = air_ar_model
+        seen = []
+        monkeypatch.setattr(HyperTreeModel, "from_dict",
+                            classmethod(lambda cls, d: seen.append(gc.isenabled()) or model))
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            try:
+                save_bundle(tmp_path / "b", model, log)
+                assert gc.isenabled() == enabled
+                assert load_bundle(tmp_path / "b")[0] is model
+                assert gc.isenabled() == enabled
+                with pytest.raises(DataError):
+                    load_bundle(tmp_path / "missing")
+                assert gc.isenabled() == enabled
+            finally:
+                gc.enable()
+        assert seen == [False, False]

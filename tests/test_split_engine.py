@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from treecast import boosting
 from treecast.boosting import (DENSE_ROWS_PER_VALUE, TIE_RTOL, BoostConfig, Leaf, Split,
-                               SplitMatrix, TreeEnsemble, grow_tree)
+                               SplitMatrix, TreeEnsemble)
 from treecast.errors import NumericError
 
-from reference_engine import best_gain, numeric_candidates, reference_grow_tree
+from reference_engine import (best_gain, grow_tree, numeric_candidates, reference_goes_left,
+                              reference_grow_tree)
 
 
 def assert_same_tree(a, b):
@@ -104,7 +105,7 @@ class TestOracle:
             G, H = g[rows].sum(), h[rows].sum()
             scale = abs(best) + G * G / (H + params.lam)
             assert abs(node.gain - best) <= TIE_RTOL * abs(best) + 1e-14 * scale
-            left = node.goes_left(X, rows)
+            left = reference_goes_left(node, X, rows)
             check(node.left, rows[left])
             check(node.right, rows[~left])
 

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treecast.targets import Objective, TargetSpec, stl_components, stl_loss_grad
+from treecast.targets import Objective, TargetSpec, stl_components
 
-from conftest import make_panel
+from conftest import make_panel, stl_loss_grad
 from losses import finite_diff_check
 from reference_stl import reference_loss_grad, reference_panel_loss
 

@@ -56,7 +56,7 @@ class TestForward:
         ge, he = embedding_grad_hess(model, obj, cache, raw, g, h)
         assert not ge.any()
         # trees grown on zero gradients stay single zero leaves
-        from treecast.boosting import grow_tree
+        from reference_engine import grow_tree
 
         tree = grow_tree(fs.X, fs.kinds, ge[:, 0], he[:, 0], np.arange(ds.n_rows),
                          BoostConfig())
