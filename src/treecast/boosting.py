@@ -49,12 +49,11 @@ from .errors import NumericError, SchemaError
 HESS_FLOOR = 1e-6
 
 
-def floor_hessian(h: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    """Floor h at HESS_FLOOR on contributing rows; masked rows stay 0."""
-    out = np.maximum(h, HESS_FLOOR)
-    if mask is not None:
-        out = np.where(mask, out, 0.0)
-    return out
+def floor_hessian(h: np.ndarray, row_mask: np.ndarray) -> np.ndarray:
+    """h floored at HESS_FLOOR on the rows ``row_mask`` (N,) keeps and 0 on
+    the others, in every column of an (N,) or (N, P) ``h``."""
+    mask = row_mask if h.ndim == 1 else row_mask[:, None]
+    return np.where(mask, np.maximum(h, HESS_FLOOR), 0.0)
 
 
 def leaf_weight(G: float, H: float, lam: float) -> float:
@@ -87,17 +86,15 @@ _TREE_SETTINGS = tuple((f.metadata.get("key", f.name), f.name)
 
 
 class Leaf:
-    __slots__ = ("weight", "intercept", "lin_features", "lin_coef")
+    """A constant leaf, or a linear leaf: one with terms, whose value is
+    ``weight + sum(coef * x[feature])``."""
 
-    def __init__(self, weight, intercept=None, lin_features=None, lin_coef=None):
+    __slots__ = ("weight", "lin_features", "lin_coef")
+
+    def __init__(self, weight, lin_features=None, lin_coef=None):
         self.weight = weight
-        self.intercept = intercept          # linear leaf only
         self.lin_features = lin_features    # tuple of feature ids
         self.lin_coef = lin_coef            # tuple of coefficients
-
-    @property
-    def is_linear(self):
-        return self.intercept is not None
 
 
 class Split:
@@ -528,7 +525,7 @@ class _LevelGrower:
         if not ok and log is not None:
             log.append("linear leaf fell back to constant (singular system)")
         if lin_fids:
-            return Leaf(b0, intercept=b0, lin_features=lin_fids, lin_coef=coef)
+            return Leaf(b0, lin_fids, coef)
         return Leaf(b0)
 
 
@@ -537,7 +534,7 @@ class NodeTable:
 
     Per node: ``is_split``, ``feature``, ``threshold`` (NaN but at
     numeric splits), ``left`` and ``right`` (a leaf points to itself),
-    ``value`` (a leaf's weight, its intercept if linear; 0 at a split) and
+    ``value`` (a leaf's weight; 0 at a split) and
     ``gain`` (0 at a leaf).  Linear-leaf terms are CSR rows: node i's
     features and coefficients are ``lin_feature``/``lin_coef`` at
     ``lin_ptr[i]:lin_ptr[i + 1]``.  The codes a categorical split
@@ -597,8 +594,7 @@ class NodeTable:
             self.cat_keys = owner * len(self.codes) + np.searchsorted(self.codes, codes)
 
         self.value = np.zeros(n)
-        self.value[~is_split] = [leaf.weight if leaf.intercept is None else leaf.intercept
-                                 for leaf in leaves]
+        self.value[~is_split] = [leaf.weight for leaf in leaves]
         linear = [leaf for leaf in leaves if leaf.lin_features]
         self.lin_feature = np.array([f for leaf in linear for f in leaf.lin_features],
                                     dtype=np.intp)
@@ -724,8 +720,7 @@ class TreeEnsemble:
 def _node_to_dict(node):
     if isinstance(node, Leaf):
         d = {"type": "leaf", "weight": node.weight}
-        if node.is_linear:
-            d["intercept"] = node.intercept
+        if node.lin_features:
             d["lin_features"] = list(node.lin_features)
             d["lin_coef"] = list(node.lin_coef)
         return d
@@ -746,13 +741,11 @@ def _node_to_dict(node):
 
 def _node_from_dict(d):
     if d["type"] == "leaf":
-        if "intercept" in d:
-            return Leaf(
-                d["weight"],
-                intercept=d["intercept"],
-                lin_features=tuple(d["lin_features"]),
-                lin_coef=tuple(d["lin_coef"]),
-            )
+        if "lin_features" in d:
+            # files written before linear leaves stored their value once
+            # carry it in "intercept" as well, the key the evaluator read
+            return Leaf(d.get("intercept", d["weight"]), tuple(d["lin_features"]),
+                        tuple(d["lin_coef"]))
         return Leaf(d["weight"])
     return Split(
         d["feature"],

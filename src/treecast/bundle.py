@@ -11,8 +11,10 @@ garbage collector (see ``_without_cyclic_gc``).
 
 from __future__ import annotations
 
+import csv
 import functools
 import gc
+import io
 import json
 import os
 import tempfile
@@ -49,33 +51,36 @@ def fmt(value) -> str:
 
 
 def write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Quotes only the cells that hold a comma, a quote or a line break."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([fmt(v) for v in row] for row in rows)
+    atomic_write_text(path, buf.getvalue())
 
 
 def read_value_csv(path) -> dict:
     """{(series_id, timestamp): value} from a series_id,timestamp,value CSV."""
     out = {}
     try:
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = [c.strip() for c in next(reader, [])]
             if header[:3] != ["series_id", "timestamp", "value"]:
                 raise DataError(f"{path}: expected header series_id,timestamp,value")
-            for line_no, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
+            for row in reader:
+                if not "".join(row).strip():
                     continue
-                parts = line.split(",")
-                if len(parts) < 3:
-                    raise DataError(f"{path}:{line_no}: short row")
+                if len(row) < 3:
+                    raise DataError(f"{path}:{reader.line_num}: short row")
                 try:
-                    out[(parts[0], parts[1])] = float(parts[2])
+                    out[(row[0], row[1])] = float(row[2])
                 except ValueError:
-                    raise DataError(f"{path}:{line_no}: non-numeric value {parts[2]!r}")
+                    raise DataError(f"{path}:{reader.line_num}: non-numeric value {row[2]!r}")
     except FileNotFoundError:
         raise DataError(f"file not found: {path}")
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}")
     return out
 
 

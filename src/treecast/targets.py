@@ -48,7 +48,7 @@ from typing import Literal, get_args
 
 import numpy as np
 
-from .boosting import HESS_FLOOR
+from .boosting import floor_hessian
 from .data import build_lags, pad_for_ets
 from .errors import DataError, NumericError
 
@@ -487,8 +487,7 @@ def _stl_loss(raw, t, y, spec: TargetSpec, mask, series_idx):
 def _masked_floored(weight, loss, g, h, fitted):
     """g and h zero off the training weight, h floored at HESS_FLOOR on it."""
     g = np.where(weight[:, None], g, 0.0)
-    h = np.where(weight[:, None], np.maximum(h, HESS_FLOOR), 0.0)
-    return loss, g, h, fitted
+    return loss, g, floor_hessian(h, weight), fitted
 
 
 class Target:
@@ -543,8 +542,7 @@ class ArTarget(Target):
         weight, X = self.design(ds)
         # constants of the quadratic objective, shared across rounds
         X = np.where(weight[:, None], X, 0.0)
-        h = np.where(weight[:, None], np.maximum(2.0 * X * X, HESS_FLOOR), 0.0)
-        return weight, (X, h, np.where(weight, ds.y, 0.0))
+        return weight, (X, floor_hessian(2.0 * X * X, weight), np.where(weight, ds.y, 0.0))
 
     def loss(self, raw, ds, state):
         # identity link; regressors pre-zeroed outside the training weight,

@@ -3,12 +3,14 @@ random projection expands them, and a shallow MLP decodes them into the
 target-model parameters.
 
 The projection matrix is sampled once from a standard Normal and frozen for
-the model's lifetime.  Training is joint, full-batch (no batching), under
-one of two gradient flows: "separate" (default) updates the network first,
-then recomputes the loss in eval mode and grows one tree per embedding
-dimension on the loss gradients with respect to the embeddings; "shared"
-uses a single training-mode pass for both updates, reusing one dropout
-mask.
+the model's lifetime.  Each MLP operation (forward, backward, directional
+derivative, Adam step) is one pass over plain numpy arrays.  Training is
+joint and full-batch (no batching); one round body serves both gradient
+flows: a training-mode forward pass and the network gradient, then
+"separate" (default) takes the network step and recomputes the loss in eval
+mode, while "shared" keeps the training-mode pass and its dropout mask for
+both updates.  The tree step grows one tree per embedding dimension on the
+loss gradients with respect to the embeddings of the last forward pass.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Literal, get_args
 
 import numpy as np
 
-from .boosting import HESS_FLOOR, BoostConfig, SplitMatrix, TreeEnsemble, tree_values
+from .boosting import BoostConfig, SplitMatrix, TreeEnsemble, floor_hessian, tree_values
 from .data import PanelDataset
 from .errors import NumericError
 from .hypertree import FeatureRecipe, HyperTreeModel, TrainLog
@@ -51,30 +53,16 @@ class NetConfig:
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}")
 
 
-class MlpScratch:
-    """Reusable full-batch work buffers (allocation is costly at N x hidden).
-
-    Only one forward cache may be live at a time; the training loops respect
-    that by finishing each backward/directional pass before the next forward.
-    """
-
-    def __init__(self, n, hidden, out):
-        self.a = np.empty((n, hidden))
-        self.r = np.empty((n, hidden))
-        self.o = np.empty((n, out))
-        self.bwd_do = np.empty((n, out))
-        self.bwd_dr = np.empty((n, hidden))
-        self.bwd_da = np.empty((n, hidden))
-        self.dir_dr = np.empty((n, hidden))
-        self.dir_do = np.empty((n, out))
-
-
 class Mlp:
     """linear(k -> hidden) -> ReLU -> linear(hidden -> P) -> dropout.
 
     Dropout acts on the output layer and only in training mode (inverted
     scaling).  Weights and biases start uniform with fan-in scaling and are
     kept in (in, out) orientation so every matmul output is C-contiguous.
+    A forward pass returns its output and a cache ``(z, r, drop_scale)``:
+    the input, the ReLU output and the dropout scale (None in eval mode).
+    Every pass allocates its own arrays, so any number of caches may be
+    live at once.
     """
 
     def __init__(self, k, hidden, out, rng: np.random.Generator):
@@ -86,58 +74,40 @@ class Mlp:
         self.b2 = rng.uniform(-s2, s2, size=out)
         self._adam = None
 
-    def forward(self, z, dropout=0.0, rng=None, scratch: MlpScratch | None = None):
-        """Returns (output, cache); pass dropout > 0 only in training mode.
-
-        Without ``scratch`` every pass writes into fresh buffers.
-        """
-        if scratch is None:
-            scratch = MlpScratch(z.shape[0], *self.W2.shape)
-        a, r, o = scratch.a, scratch.r, scratch.o
-        np.matmul(z, self.W1, out=a)
-        np.add(a, self.b1, out=a)
-        np.maximum(a, 0.0, out=r)
-        np.matmul(r, self.W2, out=o)
-        np.add(o, self.b2, out=o)
+    def forward(self, z, dropout=0.0, rng=None):
+        """Returns (output, cache); pass dropout > 0 only in training mode."""
+        r = z @ self.W1
+        r += self.b1
+        np.maximum(r, 0.0, out=r)
+        o = r @ self.W2
+        o += self.b2
         drop_scale = None
         if dropout > 0.0:
             keep = (rng.random(o.shape) >= dropout).astype(np.float64)
             drop_scale = keep / (1.0 - dropout)
-            np.multiply(o, drop_scale, out=o)
-        return o, (z, a, r, drop_scale)
+            o *= drop_scale
+        return o, (z, r, drop_scale)
 
-    def backward(self, cache, upstream, scratch: MlpScratch | None = None):
-        """Gradients of the scalar loss w.r.t. weights, given dL/d(output)."""
-        z, a, r, drop_scale = cache
-        if scratch is None:
-            scratch = MlpScratch(z.shape[0], *self.W2.shape)
-        do = upstream
-        if drop_scale is not None:
-            do = scratch.bwd_do
-            np.multiply(upstream, drop_scale, out=do)
-        dr, da = scratch.bwd_dr, scratch.bwd_da
-        np.matmul(do, self.W2.T, out=dr)
-        np.multiply(dr, a > 0, out=da)
-        dW2 = r.T @ do
-        db2 = do.sum(axis=0)
-        dW1 = z.T @ da
-        db1 = da.sum(axis=0)
-        return dW1, db1, dW2, db2
+    def backward(self, cache, upstream):
+        """Gradients of the scalar loss w.r.t. weights, given dL/d(output).
 
-    def directional(self, cache, dz, scratch: MlpScratch | None = None):
+        The ReLU mask is ``r > 0``, which equals ``a > 0`` on the
+        pre-activation ``a`` for every value, NaN included.
+        """
+        z, r, drop_scale = cache
+        do = upstream if drop_scale is None else upstream * drop_scale
+        da = (do @ self.W2.T) * (r > 0)
+        return z.T @ da, da.sum(axis=0), r.T @ do, do.sum(axis=0)
+
+    def directional(self, cache, dz):
         """d(output)/d(epsilon) for an input perturbation z + eps*dz per row.
 
         dz is a (k,) direction shared by all rows; returns (N, P).
         """
-        z, a, _, drop_scale = cache
-        if scratch is None:
-            scratch = MlpScratch(z.shape[0], *self.W2.shape)
-        da = dz @ self.W1
-        dr, do = scratch.dir_dr, scratch.dir_do
-        np.multiply(a > 0, da, out=dr)
-        np.matmul(dr, self.W2, out=do)
+        _, r, drop_scale = cache
+        do = ((r > 0) * (dz @ self.W1)) @ self.W2
         if drop_scale is not None:
-            np.multiply(do, drop_scale, out=do)
+            do *= drop_scale
         return do
 
     def adam_step(self, grads, lr, betas=(0.9, 0.999), eps=1e-8):
@@ -252,15 +222,15 @@ class TreeNetModel:
 
 
 def embedding_grad_hess(model: TreeNetModel, objective: Objective, cache,
-                        raw, g_theta, h_theta, scratch: MlpScratch | None = None):
-    """Loss derivatives with respect to each embedding coordinate.
+                        raw, g_theta, h_theta):
+    """Loss derivatives with respect to each tree embedding coordinate.
 
     Gradient is the exact chain rule through the (frozen) MLP, projection and
     target model.  Curvature is Gauss-Newton: through the fitted values when
     the target is row-local, otherwise transported from the per-parameter
     curvature; floored at HESS_FLOOR on contributing rows.
     """
-    d = len(model.ensembles) if model.net_cfg.encoder == "trees" else cache[0].shape[1]
+    d = len(model.ensembles)
     N = raw.shape[0]
     ge = np.zeros((N, d))
     he = np.zeros((N, d))
@@ -273,34 +243,30 @@ def embedding_grad_hess(model: TreeNetModel, objective: Objective, cache,
         if model.projection is not None:
             dz = model.projection[:, j]
         else:
-            dz = np.zeros(cache[0].shape[1])
+            dz = np.zeros(d)
             dz[j] = 1.0
-        dthetadE = model.mlp.directional(cache, dz, scratch)  # (N, P), raw scale
+        dthetadE = model.mlp.directional(cache, dz)  # (N, P), raw scale
         ge[:, j] = np.einsum("np,np->n", g_theta, dthetadE)
         if basis is not None:
             dy = np.einsum("np,np->n", basis, dthetadE)
             he[:, j] = 2.0 * dy * dy
         else:
             he[:, j] = np.einsum("np,np->n", h_theta, dthetadE * dthetadE)
-    ge = np.where(w[:, None], ge, 0.0)
-    he = np.where(w[:, None], np.maximum(he, HESS_FLOOR), 0.0)
-    return ge, he
+    return np.where(w[:, None], ge, 0.0), floor_hessian(he, w)
 
 
 def train(ds: PanelDataset, spec: TargetSpec, boost_cfg: BoostConfig,
           net_cfg: NetConfig, seed: int = 0,
           recipe: FeatureRecipe | None = None) -> tuple[TreeNetModel, TrainLog]:
-    """Joint full-batch training of trees and network.
-
-    Every iteration consumes all rows (no batching).  "separate" flow:
-    network step in training mode, then tree step against the eval-mode
-    loss.  "shared" flow: one training-mode pass feeds both updates.
-    """
+    """Joint full-batch training of trees and network; the module docstring
+    gives the round body of each gradient flow."""
     recipe = recipe or FeatureRecipe()
     fs = recipe.build(ds)
     objective = Objective(ds, spec)
     P = spec.param_count
-    d = net_cfg.d if net_cfg.encoder == "trees" else fs.n_features
+    trees = net_cfg.encoder == "trees"
+    separate = net_cfg.flow == "separate"
+    d = net_cfg.d if trees else fs.n_features
     k = net_cfg.k or P
     if not net_cfg.use_projection:
         k = d
@@ -315,7 +281,7 @@ def train(ds: PanelDataset, spec: TargetSpec, boost_cfg: BoostConfig,
 
     ensembles = []
     feat_center = feat_scale = None
-    if net_cfg.encoder == "trees":
+    if trees:
         ensembles = [TreeEnsemble(boost_cfg, base=0.0, n_features=fs.n_features)
                      for _ in range(d)]
         matrix = SplitMatrix(fs.X, fs.kinds)  # shared by every tree of the fit
@@ -329,42 +295,27 @@ def train(ds: PanelDataset, spec: TargetSpec, boost_cfg: BoostConfig,
                          fs.names, fs.kinds, seed, feat_center, feat_scale)
     counts = objective.weight.astype(np.float64)
     n_w = objective.n_weight
-    scratch = MlpScratch(ds.n_rows, net_cfg.hidden, P)
     log = TrainLog()
     t0 = time.perf_counter()
 
     for it in range(1, boost_cfg.rounds + 1):
         z = model.project(E)
-        if net_cfg.flow == "separate":
-            # network step (training mode, dropout active)
-            o, cache = mlp.forward(z, dropout=net_cfg.dropout, rng=drop_rng,
-                                   scratch=scratch)
-            loss_net, g_theta, _, _ = objective.evaluate(o)
-            if not math.isfinite(loss_net):
-                raise NumericError(f"non-finite network loss at iteration {it}")
-            grads = mlp.backward(cache, g_theta / n_w, scratch)
+        o, cache = mlp.forward(z, dropout=net_cfg.dropout, rng=drop_rng)
+        loss, g_theta, h_theta, _ = objective.evaluate(o)
+        if separate and not math.isfinite(loss):
+            raise NumericError(f"non-finite network loss at iteration {it}")
+        grads = mlp.backward(cache, g_theta / n_w)
+        if separate:
             mlp.adam_step(grads, net_cfg.lr, net_cfg.betas)
-            # tree step (eval mode, recomputed loss)
-            o2, cache2 = mlp.forward(z, scratch=scratch)
-            loss, g_theta, h_theta, _ = objective.evaluate(o2)
-            tree_cache, tree_raw = cache2, o2
-        else:
-            o, cache = mlp.forward(z, dropout=net_cfg.dropout, rng=drop_rng,
-                                   scratch=scratch)
+            o, cache = mlp.forward(z)
             loss, g_theta, h_theta, _ = objective.evaluate(o)
-            grads = mlp.backward(cache, g_theta / n_w, scratch)
-            ge_he = embedding_grad_hess(model, objective, cache, o,
-                                        g_theta, h_theta, scratch)
-            mlp.adam_step(grads, net_cfg.lr, net_cfg.betas)
-            tree_cache, tree_raw = cache, o
         if not math.isfinite(loss):
             raise NumericError(f"non-finite training loss at iteration {it}")
-        if net_cfg.encoder == "trees":
-            if net_cfg.flow == "separate":
-                ge, he = embedding_grad_hess(model, objective, tree_cache,
-                                             tree_raw, g_theta, h_theta, scratch)
-            else:
-                ge, he = ge_he
+        if trees:
+            ge, he = embedding_grad_hess(model, objective, cache, o, g_theta, h_theta)
+        if not separate:
+            mlp.adam_step(grads, net_cfg.lr, net_cfg.betas)
+        if trees:
             for j in range(d):
                 tree = ensembles[j].boost_round(matrix, ge[:, j], he[:, j], counts,
                                                 log.notes)

@@ -44,10 +44,8 @@ def grow_tree(X, kinds, g, h, idx, params, counts=None, log=None):
 
 
 def reference_leaf_value(leaf, X, idx):
-    if not leaf.is_linear:
-        return np.full(len(idx), leaf.weight)
-    out = np.full(len(idx), leaf.intercept)
-    for fid, c in zip(leaf.lin_features, leaf.lin_coef):
+    out = np.full(len(idx), leaf.weight)
+    for fid, c in zip(leaf.lin_features or (), leaf.lin_coef or ()):
         out += c * X[idx, fid]
     return out
 
@@ -170,7 +168,7 @@ def reference_grow_tree(X, kinds, g, h, idx, params, counts=None, log=None):
             if not ok and log is not None:
                 log.append("linear leaf fell back to constant (singular system)")
             if lin_fids:
-                return Leaf(b0, intercept=b0, lin_features=lin_fids, lin_coef=coef)
+                return Leaf(b0, lin_features=lin_fids, lin_coef=coef)
             return Leaf(b0)
         return Leaf(leaf_weight(row_order_sum(gg), row_order_sum(hh), params.lam))
 

@@ -302,3 +302,9 @@ def test_floor_hessian_masked_rows_stay_zero():
     assert out[0] == 0.0
     assert out[1] == HESS_FLOOR
     assert out[2] == 2.0
+    # (N, P) with N == P: a mask broadcast along columns instead of rows
+    # still gives the right shape, so only the values catch it
+    h2 = np.array([[0.0, 1e-9, 2.0], [3.0, 0.0, -1.0], [1e-9, 5.0, 0.5]])
+    out2 = floor_hessian(h2, mask)
+    assert out2.tolist() == [[0.0, 0.0, 0.0], [3.0, HESS_FLOOR, HESS_FLOOR],
+                             [HESS_FLOOR, 5.0, 0.5]]

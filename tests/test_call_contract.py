@@ -16,7 +16,7 @@ import sys
 import numpy as np
 import pytest
 
-from treecast import boosting, hypertree, treenet
+from treecast import boosting, hypertree, targets, treenet
 from treecast.data import build_lags
 from treecast.hypertree import BoostConfig
 from treecast.targets import TargetSpec
@@ -110,3 +110,42 @@ def test_treenet_one_predict_per_dimension_and_forecast(predicts):
     hypertree.forecast(model, ds, 4)
     assert predicts["predict_parameters"] == 1
     assert predicts["predict"] == net.d * predicts["predict_parameters"]
+
+
+@pytest.fixture
+def step_calls(monkeypatch):
+    """Counts of the passes of one treenet training step: the objective,
+    the MLP methods and the embedding derivatives (called through the
+    ``treenet`` module global, where the tracer binds it too)."""
+    counts = {}
+
+    def counted(owner, attr):
+        original = getattr(owner, attr)
+        counts[attr] = 0
+
+        def wrapper(*args, **kwargs):
+            counts[attr] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    counted(targets.Objective, "evaluate")
+    for attr in ("forward", "backward", "adam_step", "directional"):
+        counted(treenet.Mlp, attr)
+    counted(treenet, "embedding_grad_hess")
+    return counts
+
+
+@pytest.mark.parametrize("encoder", ["trees", "features"])
+@pytest.mark.parametrize("flow", ["separate", "shared"])
+def test_treenet_step_calls_per_round(step_calls, flow, encoder):
+    """separate: a training-mode and an eval-mode pass per round; shared:
+    one training-mode pass.  Embedding derivatives (one directional pass per
+    dimension) are taken only when trees are grown on them."""
+    net = NetConfig(d=2, hidden=8, flow=flow, encoder=encoder)
+    treenet.train(panel(3), TargetSpec(kind="ar", p=3), BoostConfig(rounds=ROUNDS, max_depth=2),
+                  net, seed=0)
+    passes = 2 * ROUNDS if flow == "separate" else ROUNDS
+    trees = ROUNDS if encoder == "trees" else 0
+    assert step_calls == {"evaluate": passes, "forward": passes, "backward": ROUNDS,
+                          "adam_step": ROUNDS, "embedding_grad_hess": trees,
+                          "directional": trees * net.d}

@@ -420,6 +420,34 @@ class TestEvaluate:
         assert float(mean[header.index("MASE")]) > 0
         assert mean[header.index("runtime_minutes")] == "0.05"
 
+    def test_ids_with_comma_and_quote_round_trip(self, runner, tmp_path):
+        """Train, forecast and evaluate on series ids that need CSV quoting."""
+        import csv
+
+        ids = ('north,1', 'say "hi"')
+        rows = [(sid, f"{2000 + t // 12}-{t % 12 + 1:02d}-01", 50.0 + 3 * k + t % 12)
+                for k, sid in enumerate(ids) for t in range(39)]
+        train_csv, ac = tmp_path / "train.csv", tmp_path / "actuals.csv"
+        for path, part in ((train_csv, [r for r in rows if r[1] < "2003"]),
+                           (ac, [r for r in rows if r[1] >= "2003"])):
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh).writerows([("series_id", "timestamp", "value"), *part])
+        cfg = base_config(tmp_path, **{"data.path": str(train_csv), "model.p": 3,
+                                       "eval.horizon": 3})
+        bundle, fc, rep = tmp_path / "b", tmp_path / "fc.csv", tmp_path / "rep.csv"
+        assert runner.invoke(main, ["train", cfg, "--out", str(bundle)]).exit_code == 0
+        res = runner.invoke(main, ["forecast", "--bundle", str(bundle), "--out", str(fc)])
+        assert res.exit_code == 0, res.output
+        with open(fc, newline="") as fh:
+            fc_rows = list(csv.reader(fh))[1:]
+        assert [r[:2] for r in fc_rows] == [[sid, f"2003-{m:02d}-01"] for sid in ids
+                                            for m in (1, 2, 3)]
+        res = runner.invoke(main, ["evaluate", "--forecast", str(fc), "--actuals", str(ac),
+                                   "--out", str(rep)])
+        assert res.exit_code == 0, res.output
+        with open(rep, newline="") as fh:
+            assert [r[2] for r in csv.reader(fh)] == ["series_id", *sorted(ids), "MEAN"]
+
     def test_mismatched_series_exit_3(self, runner, tmp_path):
         fc, ac = tmp_path / "f.csv", tmp_path / "a.csv"
         self.write(fc, [("a", "2020-01-01", 1.0)])

@@ -10,10 +10,11 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treecast.boosting import HESS_FLOOR
 from treecast.cli import main
 from treecast.data import pad_for_ets
 from treecast.errors import NumericError
-from treecast.targets import HESS_FLOOR, EtsState, Objective, TargetSpec, ets_init
+from treecast.targets import EtsState, Objective, TargetSpec, ets_init
 
 from conftest import ets_filter_one, make_panel
 from reference_ets import reference_derivatives, reference_filter

@@ -231,3 +231,57 @@ class TestPersistence:
             finally:
                 gc.enable()
         assert seen == [False, False]
+
+
+def leaf_dicts(node):
+    if node["type"] == "leaf":
+        return [node]
+    return leaf_dicts(node["left"]) + leaf_dicts(node["right"])
+
+
+class TestLinearLeafPersistence:
+    """A linear leaf stores its value once, in ``weight``; files written
+    when it was stored twice (``weight`` and ``intercept``) still load."""
+
+    @pytest.fixture(scope="class")
+    def linear_model(self, air_train, air_recipe):
+        model, log = train(air_train, TargetSpec(kind="ar", p=12),
+                           BoostConfig(rounds=5, linear_leaves=True), air_recipe)
+        return model, log
+
+    def test_bundle_round_trips_without_intercept(self, linear_model, air_train, air_recipe,
+                                                  tmp_path):
+        import json
+
+        from treecast.bundle import load_bundle, save_bundle
+
+        model, log = linear_model
+        save_bundle(tmp_path / "b", model, log)
+        back, manifest, _ = load_bundle(tmp_path / "b")
+        leaves = [leaf for fname in manifest["ensemble_files"]
+                  for tree in json.loads((tmp_path / "b" / fname).read_text())["trees"]
+                  for leaf in leaf_dicts(tree)]
+        assert any("lin_features" in leaf for leaf in leaves)
+        assert not any("intercept" in leaf for leaf in leaves)
+        assert back.to_dict() == model.to_dict()
+        fs = air_recipe.build(air_train)
+        assert np.array_equal(back.predict_raw(fs.X), model.predict_raw(fs.X))
+
+    @pytest.mark.parametrize("old_weight", ["same", "other"])
+    def test_old_layout_predicts_the_same(self, linear_model, air_train, air_recipe,
+                                          old_weight):
+        """The old evaluator read ``intercept`` for a linear leaf, so the
+        loader takes it as the weight even where ``weight`` differs."""
+        model, _ = linear_model
+        fs = air_recipe.build(air_train)
+        for ens in model.ensembles:
+            old = ens.to_dict()
+            for tree in old["trees"]:
+                for leaf in leaf_dicts(tree):
+                    if "lin_features" in leaf:
+                        leaf["intercept"] = leaf["weight"]
+                        if old_weight == "other":
+                            leaf["weight"] = leaf["weight"] + 1.0
+            back = TreeEnsemble.from_dict(old)
+            assert np.array_equal(back.predict(fs.X), ens.predict(fs.X))
+            assert back.to_dict() == ens.to_dict()

@@ -18,8 +18,7 @@ from reference_engine import (best_gain, grow_tree, numeric_candidates, referenc
 def assert_same_tree(a, b):
     if isinstance(a, Leaf):
         assert isinstance(b, Leaf)
-        assert (a.weight, a.intercept, a.lin_features, a.lin_coef) == \
-            (b.weight, b.intercept, b.lin_features, b.lin_coef)
+        assert (a.weight, a.lin_features, a.lin_coef) == (b.weight, b.lin_features, b.lin_coef)
         return
     assert isinstance(b, Split)
     assert (a.feature, a.kind, a.threshold, a.codes, a.gain) == \
@@ -127,8 +126,7 @@ def same_splits_and_leaves(a, b):
     preorder, split by split, as (a's gain, b's gain)."""
     if isinstance(a, Leaf):
         assert isinstance(b, Leaf)
-        assert (a.weight, a.intercept, a.lin_features, a.lin_coef) == \
-            (b.weight, b.intercept, b.lin_features, b.lin_coef)
+        assert (a.weight, a.lin_features, a.lin_coef) == (b.weight, b.lin_features, b.lin_coef)
         return []
     assert isinstance(b, Split)
     assert (a.feature, a.kind, a.threshold, a.codes) == (b.feature, b.kind, b.threshold, b.codes)

@@ -36,7 +36,7 @@ def random_leaf(rng, n_feat):
     k = int(rng.integers(0, n_feat + 1))
     fids = tuple(int(f) for f in rng.choice(n_feat, k, replace=False))
     coef = tuple(float(c) for c in rng.normal(size=k) * 10.0 ** rng.integers(-2, 3, k))
-    return Leaf(weight, intercept=weight, lin_features=fids, lin_coef=coef)
+    return Leaf(weight, lin_features=fids, lin_coef=coef)
 
 
 def random_tree(rng, kinds, max_depth, depth=0):
@@ -142,7 +142,7 @@ class TestOracle:
 
 class TestCases:
     def test_leaf_only_trees_and_zero_rows(self):
-        trees = [Leaf(1.5), Leaf(-2.0, intercept=-2.0, lin_features=(1, 0), lin_coef=(0.5, 3.0))]
+        trees = [Leaf(1.5), Leaf(-2.0, lin_features=(1, 0), lin_coef=(0.5, 3.0))]
         for n in (0, 1, 4):
             X = np.arange(2.0 * n).reshape(n, 2)
             for tree in trees:
@@ -174,7 +174,7 @@ class TestCases:
         assert got == [-1.0, -1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0]
 
     def test_linear_terms_add_in_stored_order(self):
-        leaf = Leaf(0.0, intercept=0.0, lin_features=(0, 1, 0), lin_coef=(1.0, 1e16, -1e16))
+        leaf = Leaf(0.0, lin_features=(0, 1, 0), lin_coef=(1.0, 1e16, -1e16))
         X = np.array([[1.0, 1.0]])
         # ((0 + 1) + 1e16) - 1e16 is 0 in stored order, 1 in reverse order
         assert tree_values(leaf, X).tolist() == [0.0]

@@ -220,6 +220,18 @@ class TestTraining:
         fc, _ = forecast(model, ds, 4)
         assert fc.shape == (1, 4)
 
+    @pytest.mark.parametrize("flow", ["separate", "shared"])
+    def test_feature_encoder_projection_wider_than_features(self, flow):
+        """With no trees to grow, no embedding derivatives are taken, so a
+        projection with more rows than there are features trains under
+        either flow (ablations a7 and a10 together)."""
+        ds = ar_panel()
+        spec = TargetSpec(kind="ar", p=3)
+        model, log = train(ds, spec, BoostConfig(rounds=3),
+                           NetConfig(encoder="features", flow=flow, k=16), seed=2)
+        assert model.projection.shape[0] > model.projection.shape[1]
+        assert np.isfinite(log.losses).all()
+
     def test_no_projection_mode(self):
         ds = ar_panel()
         spec = TargetSpec(kind="ar", p=3)
@@ -263,10 +275,10 @@ class TestMlpUnit:
     def test_dropout_only_in_training(self):
         mlp = Mlp(2, 4, 3, np.random.default_rng(0))
         z = np.random.default_rng(1).normal(size=(50, 2))
-        o_eval, (_, _, _, scale) = mlp.forward(z)
+        o_eval, (_, _, scale) = mlp.forward(z)
         assert scale is None
         rng = np.random.default_rng(2)
-        o_train, (_, _, _, scale2) = mlp.forward(z, dropout=0.5, rng=rng)
+        o_train, (_, _, scale2) = mlp.forward(z, dropout=0.5, rng=rng)
         assert scale2 is not None
         assert (o_train == 0).sum() > 0
 
