@@ -24,6 +24,7 @@ import numpy as np
 
 from .baselines import BaselineModel
 from .boosting import TreeEnsemble
+from .data import read_sorted_rows
 from .errors import DataError
 from .hypertree import HyperTreeModel
 from .treenet import TreeNetModel
@@ -60,28 +61,10 @@ def write_csv(path, header, rows):
 
 
 def read_value_csv(path) -> dict:
-    """{(series_id, timestamp): value} from a series_id,timestamp,value CSV."""
-    out = {}
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = [c.strip() for c in next(reader, [])]
-            if header[:3] != ["series_id", "timestamp", "value"]:
-                raise DataError(f"{path}: expected header series_id,timestamp,value")
-            for row in reader:
-                if not "".join(row).strip():
-                    continue
-                if len(row) < 3:
-                    raise DataError(f"{path}:{reader.line_num}: short row")
-                try:
-                    out[(row[0], row[1])] = float(row[2])
-                except ValueError:
-                    raise DataError(f"{path}:{reader.line_num}: non-numeric value {row[2]!r}")
-    except FileNotFoundError:
-        raise DataError(f"file not found: {path}")
-    except csv.Error as exc:
-        raise DataError(f"{path}: line {reader.line_num}: {exc}")
-    return out
+    """{(series_id, ISO date): value} from a CSV read by :func:`data.read_sorted_rows`."""
+    series, order, y, _, _ = read_sorted_rows(path)
+    values = iter(y[order].tolist())
+    return {(s.series_id, ts.isoformat()): next(values) for s in series for ts in s.timestamps}
 
 
 # --------------------------------------------------------------------------

@@ -23,6 +23,8 @@ from .errors import ConfigError, DataError, NumericError, SchemaError
 from .metrics import aggregate, series_metrics
 from .targets import TargetSpec
 
+PARAMETER_HEADER = ("series_id", "timestamp", "parameter_name", "value", "phase")
+
 
 def _exit_codes(fn):
     @functools.wraps(fn)
@@ -160,9 +162,14 @@ def cmd_forecast(bundle_dir, data_path, horizon, out):
 def cmd_evaluate(forecast_path, actuals_path, reference_path, out, dataset,
                  model_name, runtime_minutes):
     """Score a forecast CSV against actuals; per-series rows plus a MEAN row."""
-    fc = bundle_io.read_value_csv(forecast_path)
-    actual = bundle_io.read_value_csv(actuals_path)
-    ref = bundle_io.read_value_csv(reference_path) if reference_path else None
+    tables = []
+    for label, path in (("forecast", forecast_path), ("actuals", actuals_path),
+                        ("reference", reference_path)):
+        try:
+            tables.append(bundle_io.read_value_csv(path) if path else None)
+        except DataError as exc:
+            raise DataError(f"{label}: {exc}")
+    fc, actual, ref = tables
 
     for label, table in (("actuals", actual), ("reference", ref)):
         missing = [] if table is None else [k for k in fc if k not in table]
@@ -225,12 +232,8 @@ def cmd_decompose(config_path, out, overrides):
          for i in range(ds.n_rows)],
     )
     names = spec.param_names
-    bundle_io.write_csv(
-        out / "parameters.csv",
-        ("series_id", "timestamp", "parameter_name", "value", "phase"),
-        [(sids[i], stamps[i].isoformat(), names[j], values[i, j], "train")
-         for i in range(ds.n_rows) for j in range(len(names))],
-    )
+    bundle_io.write_csv(out / "parameters.csv", PARAMETER_HEADER,
+                        panel_rows(ds, names, values, "train"))
     rows = []
     if hasattr(model, "gain_importances"):
         for j, imp in enumerate(model.gain_importances()):
@@ -333,34 +336,32 @@ def cmd_export(bundle_dir, data_path, what, horizon, out):
         raise ConfigError("horizon: must be >= 1")
     out = out or f"{what}.csv"
     rows = export_rows(model, ds, h, what)
-    if what == "parameters":
-        header = ("series_id", "timestamp", "parameter_name", "value", "phase")
-    else:
-        header = ("series_id", "timestamp", "dim", "value", "phase")
+    header = PARAMETER_HEADER if what == "parameters" else (
+        "series_id", "timestamp", "dim", "value", "phase")
     bundle_io.write_csv(out, header, rows)
     click.echo(f"wrote {len(rows)} rows to {out}")
 
 
+def panel_rows(panel: PanelDataset, names, values, phase: str):
+    """One row per panel row and column j of ``values``, in that order:
+    (series_id, timestamp, names[j], value, phase)."""
+    stamps = panel.timestamps_flat()
+    sids = [panel.series[i].series_id for i in panel.series_idx]
+    return [(sids[i], stamps[i].isoformat(), name, values[i, j], phase)
+            for i in range(panel.n_rows) for j, name in enumerate(names)]
+
+
 def export_rows(model, ds: PanelDataset, h: int, what: str):
-    fut = future_panel(ds, h)
     rows = []
-    for phase, panel in (("train", ds), ("forecast", fut)):
-        stamps = panel.timestamps_flat()
-        sids = [panel.series[i].series_id for i in panel.series_idx]
+    for phase, panel in (("train", ds), ("forecast", future_panel(ds, h))):
         if what == "parameters":
-            values = model.parameters(panel)
-            names = model.spec.param_names
-            for i in range(panel.n_rows):
-                for j, name in enumerate(names):
-                    rows.append((sids[i], stamps[i].isoformat(), name,
-                                 values[i, j], phase))
+            names, values = model.spec.param_names, model.parameters(panel)
         else:
             fs = model.recipe.build(panel)
             model.check_schema(fs.names)
-            E = model.embeddings(fs.X)
-            for i in range(panel.n_rows):
-                for j in range(E.shape[1]):
-                    rows.append((sids[i], stamps[i].isoformat(), j, E[i, j], phase))
+            values = model.embeddings(fs.X)
+            names = range(values.shape[1])
+        rows += panel_rows(panel, names, values, phase)
     return rows
 
 

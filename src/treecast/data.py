@@ -5,8 +5,9 @@ A :class:`PanelDataset` keeps one row per observation, sorted by
 features, lag columns, categorical codes and the padding mask.  Every panel
 is made by :meth:`PanelDataset.build`, and every panel derived from another
 (padded, shortened or future rows) by one row gather, :meth:`PanelDataset.take`.
-:func:`ingest_csv` reads a CSV whole columns at a time, and
-:func:`derive_calendar` computes calendar features from the date ordinals.
+:func:`read_sorted_rows` reads and checks a CSV whole columns at a time, for
+:func:`ingest_csv` and for the value files that ``treecast evaluate`` scores,
+and :func:`derive_calendar` computes calendar features from the date ordinals.
 All operations are pure: they return a new dataset and never mutate their
 input, so they are safe to call from multiple threads.
 """
@@ -137,26 +138,19 @@ def _parse_date(text: str) -> date:
     return date.fromisoformat(t)
 
 
-def ingest_csv(path, schema: dict | None = None, code_maps: dict | None = None) -> PanelDataset:
-    """Read a panel CSV into a PanelDataset.
+def read_sorted_rows(path, num_cols=(), cat_cols=()):
+    """Read and check a CSV with series_id, timestamp and value columns.
 
-    The file is UTF-8, with or without a byte-order mark.  Required columns:
-    series_id, timestamp (ISO-8601 date or YYYY-MM), value (decimal).
-    ``schema`` declares the remaining columns: ``{"categorical": [...],
-    "numeric": [...], "frequency": "monthly"}``; undeclared extras are
-    ignored, and rows may lack them.  Rows are sorted by (series_id,
-    timestamp); short rows, duplicates, missing targets and non-finite numeric
-    cells are rejected, and so is a first gap that fits no frequency.  The
-    columns are parsed whole; if one fails, :func:`_raise_row_fault` names
-    the first faulty row in file order.
+    The file is UTF-8, with or without a byte-order mark; columns may come in
+    any order, and blank rows are skipped.  Stamps are ISO-8601 dates or
+    YYYY-MM; values and the ``num_cols`` cells are finite decimals.  Short
+    rows and duplicate (series_id, timestamp) keys are rejected too, and
+    :func:`_raise_row_fault` names the first faulty row in file order.
 
-    When ``code_maps`` is given (forecast time), the categorical encoding is
-    frozen: unseen categories map to the reserved code with a warning.
+    Returns ``(series, order, y, nums, cells)``: the TimeSeries sorted by
+    (series_id, timestamp) and the data rows in that order; the values, the
+    ``num_cols`` arrays and the raw cells by column, in file order.
     """
-    schema = dict(schema or {})
-    cat_cols = list(schema.get("categorical", []))
-    num_cols = list(schema.get("numeric", []))
-
     try:
         fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
@@ -212,6 +206,23 @@ def ingest_csv(path, schema: dict | None = None, code_maps: dict | None = None) 
     bounds = [0, *(np.flatnonzero(~same_series) + 1), len(order)]
     series = tuple(TimeSeries(names[sid_code[a]], tuple(stamps[a:b]))
                    for a, b in zip(bounds, bounds[1:]))
+    return series, order, y, nums, cells
+
+
+def ingest_csv(path, schema: dict | None = None, code_maps: dict | None = None) -> PanelDataset:
+    """Read a panel CSV (see :func:`read_sorted_rows`) into a PanelDataset.
+
+    ``schema`` declares the columns beyond series_id, timestamp and value:
+    ``{"categorical": [...], "numeric": [...], "frequency": "monthly"}``;
+    undeclared extras are ignored, and rows may lack them.  An undeclared
+    frequency is inferred from the first gap.  When ``code_maps`` is given
+    (forecast time), the categorical encoding is frozen: unseen categories
+    map to the reserved code with a warning.
+    """
+    schema = dict(schema or {})
+    cat_cols = list(schema.get("categorical", []))
+    num_cols = list(schema.get("numeric", []))
+    series, order, y, nums, cells = read_sorted_rows(path, num_cols, cat_cols)
 
     levels = {c: _factorize(list(map(str.strip, cells[c]))) for c in cat_cols}
     if code_maps is None:

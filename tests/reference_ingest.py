@@ -9,6 +9,11 @@ the columnar reader deliberately differs: it reads UTF-8 with an optional
 byte-order mark, rejects short rows with a ``DataError`` instead of an
 ``IndexError``, and infers a frequency only from a first gap of 1, 28-31 or
 365-366 days.
+
+``read_value_csv`` is the reader ``treecast evaluate`` used for its forecast,
+actuals and reference files before it read them through
+``treecast.data.read_sorted_rows``, also kept verbatim; on the files it read
+correctly, ``treecast.bundle.read_value_csv`` must return the same dict.
 """
 
 from __future__ import annotations
@@ -167,3 +172,28 @@ def derive_calendar(ds: PanelDataset) -> PanelDataset:
         day_of_week=np.asarray(dow, dtype=np.int64),
         time_index=np.asarray(tindex, dtype=np.int64),
     )
+
+
+def read_value_csv(path) -> dict:
+    """{(series_id, timestamp): value} from a series_id,timestamp,value CSV."""
+    out = {}
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = [c.strip() for c in next(reader, [])]
+            if header[:3] != ["series_id", "timestamp", "value"]:
+                raise DataError(f"{path}: expected header series_id,timestamp,value")
+            for row in reader:
+                if not "".join(row).strip():
+                    continue
+                if len(row) < 3:
+                    raise DataError(f"{path}:{reader.line_num}: short row")
+                try:
+                    out[(row[0], row[1])] = float(row[2])
+                except ValueError:
+                    raise DataError(f"{path}:{reader.line_num}: non-numeric value {row[2]!r}")
+    except FileNotFoundError:
+        raise DataError(f"file not found: {path}")
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}")
+    return out

@@ -457,6 +457,46 @@ class TestEvaluate:
         assert res.exit_code == 3
         assert "a @ 2020-01-01" in res.output
 
+    def evaluate(self, runner, tmp_path, forecast, actuals):
+        """Score two CSVs given as text or bytes; the result and the report's MEAN row."""
+        fc, ac, rep = tmp_path / "f.csv", tmp_path / "a.csv", tmp_path / "rep.csv"
+        for path, content in ((fc, forecast), (ac, actuals)):
+            path.write_bytes(content if isinstance(content, bytes) else content.encode())
+        res = runner.invoke(main, ["evaluate", "--forecast", str(fc), "--actuals", str(ac),
+                                   "--out", str(rep)])
+        if res.exit_code != 0:
+            return res, None
+        header, *_, mean = rep.read_text().splitlines()
+        return res, dict(zip(header.split(","), mean.split(",")))
+
+    ONE_ROW = "series_id,timestamp,value\na,2020-01-01,10.0\n"
+
+    @pytest.mark.parametrize("actuals, mae", [
+        pytest.param(b"\xef\xbb\xbf" + ONE_ROW.encode(), 0.0, id="byte_order_mark"),
+        pytest.param("series_id,timestamp,value\na,2020-01,12.5\n", 2.5, id="month_stamp"),
+        pytest.param("timestamp,series_id,value\n2020-01-01,a,12.5\n", 2.5, id="column_order"),
+    ])
+    def test_actuals_read_by_the_training_rules(self, runner, tmp_path, actuals, mae):
+        res, mean = self.evaluate(runner, tmp_path, self.ONE_ROW, actuals)
+        assert res.exit_code == 0, res.output
+        assert float(mean["MAE"]) == mae
+
+    @pytest.mark.parametrize("forecast, actuals, message", [
+        pytest.param(ONE_ROW, b"series_id,timestamp,value\ncaf\xe9,2020-01-01,10.0\n",
+                     "actuals: {dir}/a.csv: not UTF-8 text", id="undecodable_byte"),
+        pytest.param(ONE_ROW, ONE_ROW + "a,2020-01-01,12.0\n",
+                     "actuals: duplicate (series_id, timestamp) key: ('a', 2020-01-01)",
+                     id="duplicate_key"),
+        pytest.param(ONE_ROW, "series_id,timestamp,value\na,2020-01-01,nan\n",
+                     "actuals: row 2: non-finite target 'nan'", id="nan_actual"),
+        pytest.param("series_id,timestamp,value\n", ONE_ROW,
+                     "forecast: {dir}/f.csv: no data rows", id="header_only_forecast"),
+    ])
+    def test_read_fault_exit_3(self, runner, tmp_path, forecast, actuals, message):
+        res, _ = self.evaluate(runner, tmp_path, forecast, actuals)
+        assert res.exit_code == 3, res.output
+        assert "data error: " + message.format(dir=tmp_path) in res.output
+
 
 class TestDecompose:
     def test_constant_series_flat_seasonal(self, runner, tmp_path):

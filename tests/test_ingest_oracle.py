@@ -7,9 +7,14 @@ a row without a cell for a column the reader uses is a ``DataError`` (the
 oracle raised ``IndexError``), the file is read as UTF-8 with an optional
 byte-order mark, and only a first gap of 1, 28-31 or 365-366 days infers a
 frequency (the oracle filed every other gap as daily, monthly or yearly).
+
+``treecast evaluate``'s value reader is checked against its old row loop in
+the same way: on the files the old loop read correctly, the same dict.
 """
 
+import csv
 import dataclasses
+import io
 import warnings
 from datetime import date, timedelta
 
@@ -19,6 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_ingest
+from treecast.bundle import read_value_csv
 from treecast.data import CALENDAR_NAMES, PanelDataset, TimeSeries, derive_calendar, ingest_csv
 from treecast.errors import DataError
 
@@ -207,6 +213,37 @@ class TestIntendedFixes:
         rows = "".join(f"s,{date(2020, 1, 2) + timedelta(weeks=k)},{k}\n" for k in range(3))
         path = write(tmp_path, "series_id,timestamp,value\n" + rows)
         assert ingest_csv(path, {"frequency": "daily"}).frequency == "daily"
+
+
+# ASCII, so the old reader's locale encoding reads the file as UTF-8 does
+ID_TEXT = st.text(st.sampled_from('ab, "x1-'), min_size=1, max_size=6).filter(
+    lambda sid: sid == sid.strip())
+
+
+@st.composite
+def value_csvs(draw):
+    """A series_id,timestamp,value CSV that the old reader reads correctly:
+    unique keys, ISO dates, finite values, shuffled rows, blank lines, and
+    ids that need quoting but have no edge whitespace."""
+    keys = draw(st.lists(st.tuples(ID_TEXT, st.dates(date(1, 1, 1), date(9999, 12, 31))),
+                         min_size=1, max_size=12, unique=True))
+    rows = [[sid, d.isoformat(), draw(st.sampled_from([repr(x), f" {x:g} ", f"{x:.17e}"]))]
+            for sid, d in keys for x in [draw(st.floats(allow_nan=False, allow_infinity=False))]]
+    rows += [list(draw(st.sampled_from(BLANK_ROWS))) for _ in range(draw(st.integers(0, 3)))]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows(
+        [["series_id", "timestamp", "value"], *draw(st.permutations(rows))])
+    return buf.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(value_csvs())
+def test_value_reader_matches_row_loop(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("csv") / "values.csv"
+    path.write_bytes(text.encode("utf-8"))
+    got, want = read_value_csv(str(path)), reference_ingest.read_value_csv(str(path))
+    assert list(got) == sorted(want)
+    assert [v.hex() for v in got.values()] == [want[k].hex() for k in got]
 
 
 LEAP_AND_EARLY = [date(1, 1, 1), date(4, 2, 29), date(1600, 2, 29), date(1899, 12, 31),

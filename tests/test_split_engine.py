@@ -3,7 +3,7 @@
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treecast import boosting
@@ -134,6 +134,14 @@ def same_splits_and_leaves(a, b):
             + same_splits_and_leaves(a.right, b.right))
 
 
+def split_rows(node, X, rows):
+    """The rows that reach each split of ``node``, in preorder."""
+    if isinstance(node, Leaf):
+        return []
+    left = reference_goes_left(node, X, rows)
+    return [rows] + split_rows(node.left, X, rows[left]) + split_rows(node.right, X, rows[~left])
+
+
 class TestSharedMatrix:
     """Several rounds of fresh g/h grown through one SplitMatrix, as the
     trainers do, against the reference engine.  Two columns are appended so
@@ -170,28 +178,31 @@ class TestSharedMatrix:
                         trees.append(grow())
                 except NumericError as exc:
                     trees.append(type(exc))
-            yield trees, g, h
+            yield trees, X, g, h, params.lam
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([boosting._GRID_CELLS, 64]))
     @settings(max_examples=150, deadline=None)
     def test_integer_gradients_give_identical_trees(self, seed, cells):
-        for (new, ref), _, _ in self.rounds(seed, True, cells):
+        for (new, ref), *_ in self.rounds(seed, True, cells):
             if new is NumericError or ref is NumericError:
                 assert new is ref
             else:
                 assert_same_tree(new, ref)
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([boosting._GRID_CELLS, 64]))
+    @example(seed=64324569, cells=boosting._GRID_CELLS)  # the root's gradients cancel
     @settings(max_examples=150, deadline=None)
     def test_float_gradients_give_the_same_splits(self, seed, cells):
-        for (new, ref), g, h in self.rounds(seed, False, cells):
+        for (new, ref), X, g, h, lam in self.rounds(seed, False, cells):
             if new is NumericError or ref is NumericError:
                 assert new is ref
                 continue
-            for got, want in same_splits_and_leaves(new, ref):
+            gains = same_splits_and_leaves(new, ref)
+            for (got, want), rows in zip(gains, split_rows(ref, X, np.arange(len(g)))):
                 # as in test_float_gradients_choose_the_best_gain, up to the
-                # rounding of the parent's terms (bounded here by the root's)
-                scale = abs(want) + g.sum() ** 2 / h.sum()
+                # rounding of the node's own G^2/(H+lambda) terms
+                G, H = g[rows].sum(), h[rows].sum()
+                scale = abs(want) + G * G / (H + lam)
                 assert abs(got - want) <= TIE_RTOL * abs(want) + 1e-14 * scale
 
 
