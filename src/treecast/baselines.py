@@ -19,7 +19,7 @@ from . import hypertree
 from .data import PanelDataset, TimeSeries, future_panel
 from .errors import DataError, NumericError
 from .metrics import wape
-from .targets import TargetSpec, ar_forecast, ar_histories
+from .targets import TargetSpec, ar_design, ar_forecast, ar_histories
 
 TARGETS = ("ar", "ets", "ets_linear")
 
@@ -44,12 +44,9 @@ def fit_ols_ar(series, p: int, intercept: bool = False) -> OlsArModel:
     n = len(y)
     if n < 2 * p + 1:
         raise DataError(f"{n} observations are too short for an AR({p}) fit (needs {2 * p + 1})")
-    rows = n - p
-    X = np.empty((rows, p))
-    for j in range(1, p + 1):
-        X[:, j - 1] = y[p - j : n - j]
-    t = y[p:]
-    design = np.column_stack([np.ones(rows), X]) if intercept else X
+    _, X = ar_design(y, np.zeros(n, dtype=np.int64), p)
+    X, t = X[p:], y[p:]  # one series: rows p.. have their p lags
+    design = np.column_stack([np.ones(n - p), X]) if intercept else X
     sol, _, rank, _ = np.linalg.lstsq(design, t, rcond=None)
     if rank < design.shape[1]:
         labels = (["intercept"] if intercept else []) + [f"lag_{j}" for j in range(1, p + 1)]

@@ -17,7 +17,7 @@ import numpy as np
 from . import baselines, hypertree, treenet
 from . import bundle as bundle_io
 from .config import SCHEMA, RunConfig, config_from_dict, load_config
-from .data import PanelDataset, attach_summary, build_lags, future_panel, ingest_csv
+from .data import PanelDataset, attach_summary, future_panel, ingest_csv
 from .datasets import bundled_path, synthetic_panel
 from .errors import ConfigError, DataError, NumericError, SchemaError
 from .metrics import aggregate, series_metrics
@@ -287,16 +287,15 @@ def run_scaling_benchmark(cfg: RunConfig, p_values, n_rows, iterations, seed,
 
     length = 200
     n_series = max(1, int(np.ceil(n_rows / length)))
-    base = synthetic_panel(n_series, length, seed=seed)
-    datasets = {P: build_lags(base, P) for P in p_values}
+    ds = synthetic_panel(n_series, length, seed=seed)
 
     def one_run(family, P, rounds):
         spec = TargetSpec(kind="ar", p=P)
         bcfg = dataclasses.replace(cfg.boosting, rounds=rounds)
         if family == "hypertree":
-            _, log = hypertree.train(datasets[P], spec, bcfg, cfg.recipe())
+            _, log = hypertree.train(ds, spec, bcfg, cfg.recipe())
         else:
-            _, log = treenet.train(datasets[P], spec, bcfg, cfg.net, seed, cfg.recipe())
+            _, log = treenet.train(ds, spec, bcfg, cfg.net, seed, cfg.recipe())
         per_iter = np.diff([0.0] + [r[2] for r in log.rows])
         return float(np.median(per_iter))
 

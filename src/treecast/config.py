@@ -279,8 +279,16 @@ def _validate(cfg: RunConfig) -> list:
         ("boosting.lambda", lambda: cfg.boosting.lam >= 0, ">= 0"),
         ("boosting.max_depth", lambda: cfg.boosting.max_depth >= 0, ">= 0"),
         ("boosting.min_leaf", lambda: cfg.boosting.min_leaf >= 1, ">= 1"),
+        ("boosting.linear_ridge", lambda: cfg.boosting.linear_ridge >= 0, ">= 0"),
+        ("model.m", lambda: cfg.model.m is None or cfg.model.m >= 1, ">= 1"),
+        ("model.period", lambda: cfg.model.period >= 1, ">= 1"),
+        ("model.n_season", lambda: cfg.model.n_season >= 0, ">= 0"),
+        ("model.penalty", lambda: cfg.model.penalty >= 0, ">= 0"),
         ("net.d", lambda: cfg.net.d >= 1, ">= 1"),
+        ("net.k", lambda: cfg.net.k is None or cfg.net.k >= 1, ">= 1"),
+        ("net.hidden", lambda: cfg.net.hidden >= 1, ">= 1"),
         ("net.dropout", lambda: 0 <= cfg.net.dropout < 1, "in [0, 1)"),
+        ("net.lr", lambda: cfg.net.lr > 0, "> 0"),
     )
     for name, in_range, must in ranges:
         if name in typed and not in_range():

@@ -2,9 +2,11 @@
 
 A :class:`PanelDataset` keeps one row per observation, sorted by
 (series_id, timestamp), with flat numpy arrays for the target, calendar
-features, lag columns, categorical codes and the padding mask.  Every panel
-is made by :meth:`PanelDataset.build`, and every panel derived from another
-(padded, shortened or future rows) by one row gather, :meth:`PanelDataset.take`.
+features, categorical codes and the padding mask.  What a target derives
+from the rows, such as the autoregressive lag design, the target builds
+itself.  Every panel is made by :meth:`PanelDataset.build`, and every panel
+derived from another (padded, shortened or future rows) by one row gather,
+:meth:`PanelDataset.take`.
 :func:`read_sorted_rows` reads and checks a CSV whole columns at a time, for
 :func:`ingest_csv` and for the value files that ``treecast evaluate`` scores,
 and :func:`derive_calendar` computes calendar features from the date ordinals.
@@ -71,9 +73,6 @@ class PanelDataset:
     cat: dict = field(default_factory=dict)      # name -> (N,) int codes
     num: dict = field(default_factory=dict)      # name -> (N,) float
     code_maps: dict = field(default_factory=dict)
-    lags: np.ndarray | None = None               # (N, p) float, NaN where invalid
-    lag_valid: np.ndarray | None = None          # (N,) bool
-    p: int = 0
 
     @classmethod
     def build(cls, series, y, frequency: str, mask=None, cat=None, num=None,
@@ -100,9 +99,8 @@ class PanelDataset:
     def take(self, series, rows, y=None, mask=None) -> "PanelDataset":
         """Panel over ``series`` whose row j copies the cells of row ``rows[j]``.
 
-        ``y`` and ``mask`` are gathered from ``rows`` too unless given.  Lag
-        columns are not carried over; calendar features are derived afresh
-        from the new timestamps.
+        ``y`` and ``mask`` are gathered from ``rows`` too unless given;
+        calendar features are derived afresh from the new timestamps.
         """
         return PanelDataset.build(
             series,
@@ -333,33 +331,6 @@ def derive_calendar(ds: PanelDataset) -> PanelDataset:
     )
 
 
-def build_lags(ds: PanelDataset, p: int) -> PanelDataset:
-    """Add lag columns: row t of a series holds [y_{t-1}, ..., y_{t-p}].
-
-    The first p rows of each series get NaN lags and lag_valid=False, which
-    excludes them from training.  Series shorter than p+1 rows contribute no
-    usable rows at all and trigger a warning.
-    """
-    if p < 1:
-        raise ValueError("lag order p must be >= 1")
-    n = ds.n_rows
-    lags = np.full((n, p), np.nan)
-    valid = np.zeros(n, dtype=bool)
-    for i, s in enumerate(ds.series):
-        rows = ds.rows_of(i)
-        vals = ds.y[rows]
-        if len(rows) < p + 1:
-            warnings.warn(
-                f"series {s.series_id!r} has {len(rows)} rows, fewer than p+1={p + 1}; "
-                "excluded from lag training"
-            )
-            continue
-        for j in range(1, p + 1):
-            lags[rows[p:], j - 1] = vals[p - j : len(vals) - j]
-        valid[rows[p:]] = True
-    return replace(ds, lags=lags, lag_valid=valid, p=p)
-
-
 def _next_timestamp(ts: date, frequency: str) -> date:
     if frequency == "daily":
         return ts + timedelta(days=1)
@@ -367,7 +338,10 @@ def _next_timestamp(ts: date, frequency: str) -> date:
         y, m = divmod(ts.month, 12)
         return date(ts.year + y, m + 1, 1)
     if frequency == "yearly":
-        return date(ts.year + 1, ts.month, ts.day)
+        try:
+            return ts.replace(year=ts.year + 1)
+        except ValueError:  # 29 February: the month's last day a year later
+            return ts.replace(year=ts.year + 1, day=28)
     raise ValueError(f"unknown frequency {frequency!r}")
 
 
@@ -386,8 +360,8 @@ def pad_for_ets(ds: PanelDataset) -> PanelDataset:
     A series short of the maximum length by k rows gets a copy of its last
     min(k, len) values appended (tiled if necessary).  Appended rows are
     masked, inherit the covariates of the series' last row, and an
-    ``is_pad`` numeric feature marks them.  Calendar features and lag
-    columns are recomputed for the new rows.
+    ``is_pad`` numeric feature marks them.  Calendar features are
+    recomputed for the new rows.
     """
     max_len = max(len(s) for s in ds.series)
     series, y_rows, cov_rows, appended = [], [], [], []
@@ -402,10 +376,7 @@ def pad_for_ets(ds: PanelDataset) -> PanelDataset:
     cov_rows, appended = np.concatenate(cov_rows), np.concatenate(appended)
     out = ds.take(series, cov_rows, y=ds.y[np.concatenate(y_rows)],
                   mask=ds.mask[cov_rows] & ~appended)
-    out = replace(out, num={**out.num, "is_pad": appended.astype(np.float64)})
-    if ds.p:
-        out = build_lags(out, ds.p)
-    return out
+    return replace(out, num={**out.num, "is_pad": appended.astype(np.float64)})
 
 
 def _acf1(x: np.ndarray) -> float:

@@ -7,9 +7,11 @@ preparation reach a kind only through its class.  A kind supplies
 - ``param_names``, one per raw parameter column; ``link(raw)`` into the
   parameter domain, its elementwise ``slope``, and ``base(ds)``, the raw
   start every ensemble boosts from;
-- ``prepare(ds)``, its own data preparation, and ``time_feature``, whether
-  the trees also see the raw time index;
-- ``bind(ds)`` -> (training weight, ``state`` reused by every loss);
+- ``prepare(ds)``, its own data preparation (the smoothing kinds pad the
+  panel; the others take it as it is), and ``time_feature``, whether the
+  trees also see the raw time index;
+- ``bind(ds)`` -> (training weight, ``state`` reused by every loss); the
+  autoregressive kind builds its lag design here, from the panel's rows;
 - ``loss(raw, ds, state)`` -> (loss, g, h, fitted) over the whole panel,
   g and h masked and h floored;
 - ``fitted_jacobian(ds, weight, state)`` when the fit is row-local, else
@@ -42,6 +44,7 @@ sensitivities; see ``_ets_adjoint``.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Literal, get_args
@@ -49,7 +52,7 @@ from typing import Literal, get_args
 import numpy as np
 
 from .boosting import floor_hessian
-from .data import build_lags, pad_for_ets
+from .data import pad_for_ets
 from .errors import DataError, NumericError
 
 SIG_EPS = 1e-6     # keeps smoothing parameters strictly inside their domain
@@ -114,6 +117,25 @@ def _sigmoid(x):
 # --------------------------------------------------------------------------
 # autoregressive kernel
 # --------------------------------------------------------------------------
+
+def ar_design(y: np.ndarray, series_idx: np.ndarray, p: int):
+    """(rows with p lags, (N, p) regressors): row t of a series holds
+    y_{t-1}, ..., y_{t-p} of that series, and 0 when it has fewer than p
+    rows before t.
+
+    Rows of one series are contiguous, so row r has p lags of its own
+    series exactly when row r - p belongs to that series.
+    """
+    n = len(y)
+    valid = np.zeros(n, dtype=bool)
+    X = np.zeros((n, p))
+    if n > p:
+        valid[p:] = series_idx[p:] == series_idx[:-p]
+        for j in range(1, p + 1):
+            X[p:, j - 1] = y[p - j:n - j]
+        X[~valid] = 0.0
+    return valid, X
+
 
 def ar_histories(ds, p: int) -> np.ndarray:
     """(S, p): the last p observed values of every series, the seeds of an
@@ -529,19 +551,22 @@ class ArTarget(Target):
     def param_names(self) -> tuple:
         return tuple(f"ar_{j}" for j in range(1, self.spec.p + 1))
 
-    def prepare(self, ds):
-        return build_lags(ds, self.spec.p)
-
     def design(self, ds):
-        """(training weight, (N, P) regressors)."""
-        if ds.lags is None or ds.p != self.spec.p:
-            raise ValueError("dataset lags not built for this AR order")
-        return ds.lag_valid & ds.mask, ds.lags
+        """(training weight, (N, P) regressors): the unmasked rows with p
+        lags of their own series, and those lags (see ``ar_design``).  A
+        series of at most p rows has no such row, and is warned about."""
+        p = self.spec.p
+        for s in ds.series:
+            if len(s) < p + 1:
+                warnings.warn(f"series {s.series_id!r} has {len(s)} rows, fewer than "
+                              f"p+1={p + 1}; excluded from lag training")
+        valid, X = ar_design(ds.y, ds.series_idx, p)
+        return valid & ds.mask, X
 
     def bind(self, ds):
         weight, X = self.design(ds)
         # constants of the quadratic objective, shared across rounds
-        X = np.where(weight[:, None], X, 0.0)
+        X[~weight] = 0.0
         return weight, (X, floor_hessian(2.0 * X * X, weight), np.where(weight, ds.y, 0.0))
 
     def loss(self, raw, ds, state):
@@ -705,9 +730,6 @@ class DirectTarget(ArTarget):
     of 1, is the fitted value."""
 
     param_names = ("output",)
-
-    def prepare(self, ds):
-        return ds
 
     def design(self, ds):
         return ds.mask.copy(), np.ones((ds.n_rows, 1))

@@ -3,7 +3,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from treecast.data import PanelDataset, TimeSeries, build_lags, extend_timestamps, ingest_csv
+from treecast.data import PanelDataset, TimeSeries, extend_timestamps, ingest_csv
 from treecast.datasets import bundled_path
 from treecast.errors import DataError
 from treecast.hypertree import BoostConfig, FeatureRecipe
@@ -27,13 +27,13 @@ def make_panel(series_values, frequency="monthly", start=date(2000, 1, 1), cat=N
 def drop_last(ds: PanelDataset, h: int) -> PanelDataset:
     """Remove the trailing h rows of every series (hold-out construction).
 
-    Only valid before padding or lag construction; calendar features are
-    re-derived for the shortened panel.  h = 0 returns the panel unchanged.
+    Only valid before padding; calendar features are re-derived for the
+    shortened panel.  h = 0 returns the panel unchanged.
     """
     if h < 0:
         raise ValueError(f"drop_last needs h >= 0, got {h}")
-    if not ds.mask.all() or ds.lags is not None:
-        raise ValueError("drop_last expects a raw (unpadded, lag-free) panel")
+    if not ds.mask.all():
+        raise ValueError("drop_last expects an unpadded panel")
     if h == 0:
         return ds
     series, keep = [], []
@@ -109,8 +109,8 @@ def air_full():
 
 @pytest.fixture(scope="session")
 def air_train(air_full):
-    """First 132 months with AR(12) lags; last year held out."""
-    return build_lags(drop_last(air_full, 12), 12)
+    """First 132 months; last year held out."""
+    return drop_last(air_full, 12)
 
 
 @pytest.fixture(scope="session")

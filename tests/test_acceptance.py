@@ -14,7 +14,6 @@ from treecast.baselines import classical_decompose, fit_ols_ar
 from treecast.boosting import Leaf, Split
 from treecast.cli import main, run_scaling_benchmark
 from treecast.config import config_from_dict
-from treecast.data import build_lags
 from treecast.hypertree import BoostConfig, FeatureRecipe, forecast, train
 from treecast.metrics import mae, mape, rmse, smape, wape
 from treecast.targets import Objective, TargetSpec, ar_forecast, ets_init, stl_components
@@ -50,7 +49,7 @@ def test_criterion_01_derivatives():
     # autoregressive target: 100 seeded instances
     for _ in range(100):
         T, p = 20, 3
-        ds = build_lags(make_panel({"a": rng.uniform(1, 10, T)}), p)
+        ds = make_panel({"a": rng.uniform(1, 10, T)})
         obj = Objective(ds, TargetSpec(kind="ar", p=p))
         raw = rng.normal(0, 0.5, (T, p))
         _, g, _, _ = obj.evaluate(raw)
@@ -85,7 +84,7 @@ def test_criterion_01_derivatives():
         worst_ets = max(worst_ets, err)
 
     # embedding gradients through the frozen decoder
-    ds = build_lags(make_panel({"a": rng.uniform(10, 30, 20)}), 3)
+    ds = make_panel({"a": rng.uniform(10, 30, 20)})
     obj = Objective(ds, TargetSpec(kind="ar", p=3))
     for i in range(100):
         model, _ = treenet.train(ds, TargetSpec(kind="ar", p=3), BoostConfig(rounds=0),
@@ -157,14 +156,14 @@ def test_criterion_02_engine_oracle():
 def test_criterion_03_ols_equivalence():
     t0 = time.perf_counter()
     y = ar2_sim(n=300, seed=2024)
-    ds = build_lags(make_panel({"sim": y}, frequency="daily"), 2)
+    ds = make_panel({"sim": y}, frequency="daily")
     spec = TargetSpec(kind="ar", p=2)
     _, log = train(ds, spec,
                    BoostConfig(rounds=500, learning_rate=0.1, lam=0.0, max_depth=0),
                    FeatureRecipe(calendar=()))
     ols = fit_ols_ar(y, 2, intercept=False)
-    w = ds.lag_valid & ds.mask
-    ols_mse = float(np.mean((ds.y[w] - ds.lags[w] @ ols.coefficients) ** 2))
+    w, lags = spec.target.design(ds)
+    ols_mse = float(np.mean((ds.y[w] - lags[w] @ ols.coefficients) ** 2))
     elapsed = time.perf_counter() - t0
     print(f"  boost mse={log.losses[-1]:.6f} ols mse={ols_mse:.6f} ({elapsed:.1f}s)")
     assert log.losses[-1] <= 1.05 * ols_mse

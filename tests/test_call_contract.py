@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from treecast import boosting, hypertree, targets, treenet
-from treecast.data import build_lags
 from treecast.hypertree import BoostConfig
 from treecast.targets import TargetSpec
 from treecast.treenet import NetConfig
@@ -49,17 +48,17 @@ def calls(monkeypatch):
     return counts
 
 
-def panel(p):
+def panel():
     rng = np.random.default_rng(0)
     t = np.arange(60)
     series = {sid: 50 + 0.3 * t + 8 * np.sin(2 * np.pi * t / 12 + k) + rng.normal(0, 1, 60)
               for k, sid in enumerate(("a", "b"))}
-    return build_lags(make_panel(series), p)
+    return make_panel(series)
 
 
 def test_hypertree_one_call_each_per_round_and_parameter(calls):
     spec = TargetSpec(kind="ar", p=3)
-    hypertree.train(panel(3), spec, BoostConfig(rounds=ROUNDS, max_depth=2))
+    hypertree.train(panel(), spec, BoostConfig(rounds=ROUNDS, max_depth=2))
     assert spec.param_count > 1
     expected = ROUNDS * spec.param_count
     assert calls == {"boost_round": expected, "tree_values": expected}
@@ -67,7 +66,7 @@ def test_hypertree_one_call_each_per_round_and_parameter(calls):
 
 def test_treenet_one_call_each_per_round_and_dimension(calls):
     net = NetConfig(d=2, hidden=8)
-    treenet.train(panel(3), TargetSpec(kind="ar", p=3), BoostConfig(rounds=ROUNDS, max_depth=2),
+    treenet.train(panel(), TargetSpec(kind="ar", p=3), BoostConfig(rounds=ROUNDS, max_depth=2),
                   net, seed=0)
     expected = ROUNDS * net.d
     assert calls == {"boost_round": expected, "tree_values": expected}
@@ -95,7 +94,7 @@ def predicts(monkeypatch):
 
 def test_hypertree_one_predict_per_parameter_and_forecast(predicts):
     spec = TargetSpec(kind="ar", p=3)
-    ds = panel(3)
+    ds = panel()
     model, _ = hypertree.train(ds, spec, BoostConfig(rounds=ROUNDS, max_depth=2))
     hypertree.forecast(model, ds, 4)
     assert predicts["predict_parameters"] == 1
@@ -104,7 +103,7 @@ def test_hypertree_one_predict_per_parameter_and_forecast(predicts):
 
 def test_treenet_one_predict_per_dimension_and_forecast(predicts):
     net = NetConfig(d=2, hidden=8)
-    ds = panel(3)
+    ds = panel()
     model, _ = treenet.train(ds, TargetSpec(kind="ar", p=3),
                              BoostConfig(rounds=ROUNDS, max_depth=2), net, seed=0)
     hypertree.forecast(model, ds, 4)
@@ -142,7 +141,7 @@ def test_treenet_step_calls_per_round(step_calls, flow, encoder):
     one training-mode pass.  Embedding derivatives (one directional pass per
     dimension) are taken only when trees are grown on them."""
     net = NetConfig(d=2, hidden=8, flow=flow, encoder=encoder)
-    treenet.train(panel(3), TargetSpec(kind="ar", p=3), BoostConfig(rounds=ROUNDS, max_depth=2),
+    treenet.train(panel(), TargetSpec(kind="ar", p=3), BoostConfig(rounds=ROUNDS, max_depth=2),
                   net, seed=0)
     passes = 2 * ROUNDS if flow == "separate" else ROUNDS
     trees = ROUNDS if encoder == "trees" else 0

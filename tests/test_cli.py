@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,11 +9,14 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from treecast import bundle as bundle_io
 from treecast import hypertree, treenet
-from treecast.cli import _config_echo, main, run_scaling_benchmark
+from treecast.cli import _config_echo, main, prepare_dataset, run_scaling_benchmark
 from treecast.config import ABLATIONS, config_from_dict, load_config
 from treecast.errors import ConfigError
 from treecast.hypertree import TrainLog
+
+import reference_forecast
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
 
@@ -782,8 +786,9 @@ AR_CONFIG = str(Path(__file__).resolve().parent.parent / "configs/air_passengers
 
 
 class TestConfigTypes:
-    """A field of the wrong type exits 2 naming the field, once; the data
-    path does not exist, so the config is rejected before data is read."""
+    """A field of the wrong type or out of range exits 2 naming the field,
+    once; the data path does not exist, so the config is rejected before
+    data is read."""
 
     @pytest.mark.parametrize("overrides, message", [
         (["boosting.learning_rate=abc"], "boosting.learning_rate: must be a number"),
@@ -803,6 +808,16 @@ class TestConfigTypes:
         (["features.calendar=month"], "features.calendar: must be a list of strings"),
         (["data.categorical=abc"], "data.categorical: must be a list of strings"),
         (["net.flow=3"], "net.flow: must be one of ('separate', 'shared')"),
+        (["model.target=ets", "model.m=0"], "model.m: must be >= 1"),
+        (["model.target=ets_linear", "model.m=-3"], "model.m: must be >= 1"),
+        (["model.target=stl", "model.period=0"], "model.period: must be >= 1"),
+        (["model.target=stl", "model.n_season=-1"], "model.n_season: must be >= 0"),
+        (["model.target=stl", "model.penalty=-1"], "model.penalty: must be >= 0"),
+        (["model.family=treenet", "net.hidden=0"], "net.hidden: must be >= 1"),
+        (["model.family=treenet", "net.hidden=-5"], "net.hidden: must be >= 1"),
+        (["model.family=treenet", "net.k=0"], "net.k: must be >= 1"),
+        (["model.family=treenet", "net.lr=-1"], "net.lr: must be > 0"),
+        (["boosting.linear_ridge=-1"], "boosting.linear_ridge: must be >= 0"),
     ])
     def test_wrong_type_exit_2(self, runner, tmp_path, overrides, message):
         args = ["train", AR_CONFIG, "--set", f"data.path={tmp_path / 'missing.csv'}",
@@ -840,3 +855,75 @@ class TestShortHistory:
         assert res.exit_code == 3, res.output
         assert ("series 'AirPassengers': an AR(12) forecast needs 12 observed values, got 5"
                 in res.output)
+
+
+def write_yearly(tmp_path, series):
+    """Yearly CSV from {series_id: (stamps, values)}."""
+    rows = ["series_id,timestamp,value"] + [
+        f"{sid},{ts},{v}" for sid, (stamps, values) in series.items()
+        for ts, v in zip(stamps, values)]
+    path = tmp_path / "yearly.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return str(path)
+
+
+def feb_stamps(first, last_leap):
+    """28 February of the years first..last_leap - 1, then 29 February."""
+    return [f"{y}-02-28" for y in range(first, last_leap)] + [f"{last_leap}-02-29"]
+
+
+class TestLeapDay:
+    """A yearly stamp on 29 February steps to 28 February a year later."""
+
+    def test_forecast_after_leap_day(self, runner, tmp_path):
+        stamps = feb_stamps(1991, 2020)
+        data = write_yearly(tmp_path, {"a": (stamps, 10 + np.sin(np.arange(len(stamps))))})
+        cfg = base_config(tmp_path, **{"data.path": data, "data.frequency": "yearly",
+                                       "model.p": 2, "boosting.rounds": 2, "eval.horizon": 3})
+        bundle, fc = tmp_path / "b", tmp_path / "fc.csv"
+        res = runner.invoke(main, ["train", cfg, "--out", str(bundle)])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(main, ["forecast", "--bundle", str(bundle), "--out", str(fc)])
+        assert res.exit_code == 0, res.output
+        stamps = [line.split(",")[1] for line in fc.read_text().splitlines()[1:]]
+        assert stamps == ["2021-02-28", "2022-02-28", "2023-02-28"]
+
+    def test_padding_after_leap_day(self, runner, tmp_path):
+        long, short = feb_stamps(1990, 2020), feb_stamps(1990, 2008)
+        data = write_yearly(tmp_path, {
+            "long": (long, 50 + np.arange(len(long))),
+            "short": (short, 40 + np.arange(len(short))),
+        })
+        cfg = base_config(tmp_path, **{"data.path": data, "data.frequency": "yearly",
+                                       "model.target": "ets_linear", "boosting.rounds": 2})
+        res = runner.invoke(main, ["train", cfg, "--out", str(tmp_path / "b")])
+        assert res.exit_code == 0, res.output
+
+
+class TestLagWarning:
+    """A series of at most p rows is warned about when the AR design is
+    built for training, not when forecasting."""
+
+    def test_warned_at_training_only(self, runner, tmp_path):
+        data = write_series(tmp_path, {"a": 10 + np.sin(np.arange(30)), "short": [4.0, 5.0, 6.0]})
+        cfg = base_config(tmp_path, **{"data.path": data, "model.p": 3, "boosting.rounds": 2})
+        bundle, fc = tmp_path / "b", tmp_path / "fc.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = runner.invoke(main, ["train", cfg, "--out", str(bundle)])
+        assert res.exit_code == 0, res.output
+        message = "series 'short' has 3 rows, fewer than p+1=4; excluded from lag training"
+        assert [str(w.message) for w in caught] == [message]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = runner.invoke(main, ["forecast", "--bundle", str(bundle), "--out", str(fc)])
+        assert res.exit_code == 0, res.output
+        assert not caught, [str(w.message) for w in caught]
+
+        model, manifest, code_maps = bundle_io.load_bundle(bundle)
+        ds = prepare_dataset(config_from_dict(manifest["config"]), code_maps=code_maps)
+        want = reference_forecast.forecast(model, ds, 12)
+        rows = [line.split(",") for line in fc.read_text().splitlines()[1:]]
+        assert [(sid, ts) for sid, ts, _ in rows] == [
+            (sid, ts.isoformat()) for sid, (_, stamps) in want.items() for ts in stamps]
+        assert [float(v) for *_, v in rows] == [v for fc, _ in want.values() for v in fc]

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from treecast.baselines import classical_decompose
-from treecast.data import (RESERVED_CODE, attach_summary, build_lags, derive_calendar,
-                           future_panel, ingest_csv, pad_for_ets, summarize_series)
+from treecast.data import (RESERVED_CODE, attach_summary, derive_calendar, future_panel,
+                           ingest_csv, pad_for_ets, summarize_series)
 from treecast.datasets import synthetic_panel
 from treecast.errors import DataError
 from treecast.targets import Objective, TargetSpec
@@ -133,35 +133,39 @@ class TestCalendar:
             assert np.array_equal(getattr(ds, field), getattr(again, field))
 
 
+def lag_design(ds, p):
+    """(rows with p lags, lags) of the AR(p) target on ``ds``."""
+    return TargetSpec("ar", p=p).target.design(ds)
+
+
 class TestLags:
     def test_small_example(self):
-        ds = build_lags(make_panel({"a": [1.0, 2.0, 3.0, 4.0]}), 2)
-        assert not ds.lag_valid[0] and not ds.lag_valid[1]
-        assert list(ds.lags[2]) == [2.0, 1.0]
-        assert list(ds.lags[3]) == [3.0, 2.0]
+        valid, lags = lag_design(make_panel({"a": [1.0, 2.0, 3.0, 4.0]}), 2)
+        assert not valid[0] and not valid[1]
+        assert list(lags[2]) == [2.0, 1.0]
+        assert list(lags[3]) == [3.0, 2.0]
 
     def test_series_equal_to_p_excluded(self):
         with pytest.warns(UserWarning, match="excluded"):
-            ds = build_lags(make_panel({"a": [1.0, 2.0, 3.0]}), 3)
-        assert not ds.lag_valid.any()
+            valid, _ = lag_design(make_panel({"a": [1.0, 2.0, 3.0]}), 3)
+        assert not valid.any()
 
     def test_air_passengers_usable_rows(self, air_full):
-        ds = build_lags(air_full, 12)
-        assert int(ds.lag_valid.sum()) == 132
+        valid, _ = lag_design(air_full, 12)
+        assert int(valid.sum()) == 132
 
     def test_lag_consistency_invariant(self):
         rng = np.random.default_rng(5)
-        ds = build_lags(
-            make_panel({"a": rng.uniform(1, 9, 30), "b": rng.uniform(1, 9, 17)}), 3
-        )
+        ds = make_panel({"a": rng.uniform(1, 9, 30), "b": rng.uniform(1, 9, 17)})
+        valid, lags = lag_design(ds, 3)
         for i in range(ds.n_series):
             rows = ds.rows_of(i)
             vals = ds.y[rows]
             for t in range(len(rows)):
-                if not ds.lag_valid[rows[t]]:
+                if not valid[rows[t]]:
                     continue
                 for j in range(1, 4):
-                    assert ds.lags[rows[t], j - 1] == vals[t - j]
+                    assert lags[rows[t], j - 1] == vals[t - j]
 
 
 class TestPadding:

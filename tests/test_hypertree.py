@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from treecast.boosting import TreeEnsemble
-from treecast.data import build_lags, pad_for_ets
+from treecast.data import pad_for_ets
 from treecast.errors import NumericError
 from treecast.hypertree import (BoostConfig, FeatureRecipe, HyperTreeModel,
                                 average_parameters, forecast, train)
 from treecast.metrics import mape, wape
-from treecast.targets import Objective, TargetSpec
+from treecast.targets import TargetSpec
 
 from conftest import ar2_sim, make_panel
 
@@ -33,7 +33,7 @@ class TestTraining:
     def test_all_masked_is_empty_loss_error(self):
         import dataclasses
 
-        ds = build_lags(make_panel({"a": np.arange(10.0) + 1}), 2)
+        ds = make_panel({"a": np.arange(10.0) + 1})
         ds = dataclasses.replace(ds, mask=np.zeros(ds.n_rows, dtype=bool))
         with pytest.raises(NumericError, match="empty"):
             train(ds, TargetSpec(kind="ar", p=2), BoostConfig(rounds=1), FeatureRecipe())
@@ -55,14 +55,14 @@ class TestTraining:
         from treecast.baselines import fit_ols_ar
 
         y = ar2_sim(n=300)
-        ds = build_lags(make_panel({"sim": y}, frequency="daily"), 2)
+        ds = make_panel({"sim": y}, frequency="daily")
         spec = TargetSpec(kind="ar", p=2)
         model, log = train(ds, spec,
                            BoostConfig(rounds=500, learning_rate=0.1, lam=0.0, max_depth=0),
                            FeatureRecipe(calendar=()))
         ols = fit_ols_ar(y, 2, intercept=False)
-        w = ds.lag_valid & ds.mask
-        ols_mse = float(np.mean((ds.y[w] - ds.lags[w] @ ols.coefficients) ** 2))
+        w, lags = spec.target.design(ds)
+        ols_mse = float(np.mean((ds.y[w] - lags[w] @ ols.coefficients) ** 2))
         assert log.losses[-1] <= 1.05 * ols_mse
 
 
@@ -90,14 +90,13 @@ class TestPredictParameters:
         model, _ = air_ar_model
         fs = air_recipe.build(air_train)
         _, values = model.predict_parameters(fs.X)
-        obj = Objective(air_train, TargetSpec(kind="ar", p=12))
-        fitted = np.einsum("np,np->n", values, np.where(obj.weight[:, None], air_train.lags, 0.0))
+        weight, lags = TargetSpec(kind="ar", p=12).target.design(air_train)
+        fitted = np.einsum("np,np->n", values, np.where(weight[:, None], lags, 0.0))
         seen = {}
         for i in range(air_train.n_rows):
-            if not obj.weight[i]:
+            if not weight[i]:
                 continue
-            key = (air_train.month[i], air_train.quarter[i],
-                   tuple(air_train.lags[i]))
+            key = (air_train.month[i], air_train.quarter[i], tuple(lags[i]))
             if key in seen:
                 assert fitted[i] == seen[key]
             seen[key] = fitted[i]

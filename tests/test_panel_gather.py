@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from treecast.data import build_lags, extend_timestamps, future_panel, pad_for_ets
+from treecast.data import extend_timestamps, future_panel, pad_for_ets
 
 from conftest import drop_last, make_panel
 
@@ -15,7 +15,7 @@ from conftest import drop_last, make_panel
 @st.composite
 def panels(draw):
     """1-4 series of random lengths with one categorical and one numeric
-    column, with or without lag columns."""
+    column."""
     lengths = draw(st.lists(st.integers(1, 14), min_size=1, max_size=4))
     frequency = draw(st.sampled_from(["monthly", "daily", "yearly"]))
     n = sum(lengths)
@@ -24,14 +24,8 @@ def panels(draw):
     cat = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     num = draw(st.lists(floats, min_size=n, max_size=n))
     bounds = np.cumsum([0] + lengths)
-    ds = make_panel({f"s{i}": y[a:b] for i, (a, b) in enumerate(zip(bounds, bounds[1:]))},
-                    frequency=frequency, cat={"kind": cat}, num={"price": num})
-    p = draw(st.integers(0, 2))
-    if p:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # series shorter than p+1 are excluded
-            ds = build_lags(ds, p)
-    return ds
+    return make_panel({f"s{i}": y[a:b] for i, (a, b) in enumerate(zip(bounds, bounds[1:]))},
+                      frequency=frequency, cat={"kind": cat}, num={"price": num})
 
 
 def assert_panels_equal(a, b, skip_num=()):
@@ -60,7 +54,6 @@ def quiet(fn, *args):
 def test_pad_copies_tail_and_last_covariates(ds):
     padded = quiet(pad_for_ets, ds)
     max_len = max(len(s) for s in ds.series)
-    assert padded.p == ds.p
     assert np.array_equal(padded.num["is_pad"] == 1.0, ~padded.mask)
     for i, s in enumerate(ds.series):
         old, new = ds.rows_of(i), padded.rows_of(i)
@@ -88,17 +81,16 @@ def test_future_ignores_padding(ds, h):
 @given(panels(), st.integers(1, 5), st.integers(1, 5))
 @settings(max_examples=150, deadline=None)
 def test_future_after_drop_continues_from_shortened_end(ds, d, h):
-    raw = dataclasses.replace(ds, lags=None, lag_valid=None, p=0)
-    assume(min(len(s) for s in raw.series) > d)
-    fut = future_panel(drop_last(raw, d), h)
-    for i, s in enumerate(raw.series):
+    assume(min(len(s) for s in ds.series) > d)
+    fut = future_panel(drop_last(ds, d), h)
+    for i, s in enumerate(ds.series):
         end = len(s) - d  # rows kept
         rows = fut.rows_of(i)
         assert fut.series[i].timestamps == tuple(
-            extend_timestamps(s.timestamps[end - 1], raw.frequency, h))
+            extend_timestamps(s.timestamps[end - 1], ds.frequency, h))
         # the future rows retrace the dropped rows, as far as those reach
         assert fut.series[i].timestamps[:d] == s.timestamps[end:end + h]
         assert np.array_equal(fut.time_index[rows], np.arange(end, end + h))
-        last = raw.rows_of(i)[end - 1]
-        assert (fut.cat["kind"][rows] == raw.cat["kind"][last]).all()
-        assert (fut.num["price"][rows] == raw.num["price"][last]).all()
+        last = ds.rows_of(i)[end - 1]
+        assert (fut.cat["kind"][rows] == ds.cat["kind"][last]).all()
+        assert (fut.num["price"][rows] == ds.num["price"][last]).all()

@@ -7,7 +7,6 @@ from treecast.targets import Objective, TargetSpec
 from conftest import ar_forecast_one, make_panel
 from reference_forecast import ar_forecast_recursive
 from losses import finite_diff_check
-from treecast.data import build_lags
 
 
 def ar_evaluate(series, theta):
@@ -15,7 +14,7 @@ def ar_evaluate(series, theta):
     coefficients ``theta``; rows without p lags carry zero weight."""
     theta = np.asarray(theta, dtype=np.float64)
     p = theta.shape[-1]
-    ds = build_lags(make_panel({"a": series}), p)
+    ds = make_panel({"a": series})
     raw = np.broadcast_to(theta, (ds.n_rows, p)).copy()
     _, g, h, fitted = Objective(ds, TargetSpec("ar", p=p)).evaluate(raw)
     return fitted, g, h
@@ -54,7 +53,7 @@ class TestDerivatives:
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(0)
-        ds = build_lags(make_panel({"a": rng.uniform(1, 10, 25)}), 3)
+        ds = make_panel({"a": rng.uniform(1, 10, 25)})
         spec = TargetSpec(kind="ar", p=3)
         obj = Objective(ds, spec)
         raw = rng.normal(0, 0.5, (ds.n_rows, 3))

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from treecast.boosting import Leaf
-from treecast.data import build_lags
 from treecast.hypertree import BoostConfig, forecast
 from treecast.targets import Objective, TargetSpec
 from treecast.treenet import Mlp, NetConfig, TreeNetModel, embedding_grad_hess, train
@@ -13,11 +12,11 @@ from conftest import ar2_sim, make_panel
 from losses import finite_diff_check
 
 
-def ar_panel(n=80, seed=0, p=3):
+def ar_panel(n=80, seed=0):
     rng = np.random.default_rng(seed)
     t = np.arange(n)
     y = 50 + 0.4 * t + 8 * np.sin(2 * np.pi * t / 12) + rng.normal(0, 1, n)
-    return build_lags(make_panel({"a": y}), p)
+    return make_panel({"a": y})
 
 
 class TestForward:
@@ -65,7 +64,7 @@ class TestForward:
 
     def test_identity_mlp_reduces_to_ar_derivatives(self):
         # k = d = P = 1, weights 1, biases 0, positive embeddings
-        ds = build_lags(make_panel({"a": 10 + np.arange(30.0)}), 1)
+        ds = make_panel({"a": 10 + np.arange(30.0)})
         spec = TargetSpec(kind="ar", p=1)
         model, _ = train(ds, spec, BoostConfig(rounds=0),
                          NetConfig(d=1, k=1, hidden=1, dropout=0.0), seed=0)
@@ -85,7 +84,7 @@ class TestForward:
         assert np.allclose(he, h)
 
     def test_zero_residual_zero_embedding_gradient(self):
-        ds = build_lags(make_panel({"a": np.full(20, 7.0)}), 1)
+        ds = make_panel({"a": np.full(20, 7.0)})
         spec = TargetSpec(kind="ar", p=1)
         model, _ = train(ds, spec, BoostConfig(rounds=0),
                          NetConfig(d=1, k=1, hidden=4, dropout=0.0), seed=0)
@@ -126,7 +125,7 @@ class TestEmbeddingGradients:
 class TestTraining:
     def test_both_flows_reduce_loss(self):
         y = ar2_sim(n=120, seed=8) + 30
-        ds = build_lags(make_panel({"a": y}), 2)
+        ds = make_panel({"a": y})
         spec = TargetSpec(kind="ar", p=2)
         for flow in ("separate", "shared"):
             model, log = train(ds, spec, BoostConfig(rounds=50),
