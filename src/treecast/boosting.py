@@ -35,6 +35,14 @@ trees of a block one depth at a time, by fancy indexing on a (tree, row)
 array of node ids.  ``tree_values`` evaluates one tree this way and
 ``TreeEnsemble.predict`` every tree of the ensemble, in blocks of at most
 _GRID_CELLS (tree, row) cells, adding the trees' values in tree order.
+
+A tree's value at a row depends on that row alone, so trees are evaluated
+once per distinct feature row (``distinct_rows``, comparing rows byte for
+byte) and the values gathered back to every row: in forecasting
+(``predict_distinct``) and in the training update after each new tree.
+Calendar features repeat: every series of a panel shares the same months,
+so a 40-series monthly panel has 12 distinct rows among 4800 when its
+features are month and quarter.
 """
 
 from __future__ import annotations
@@ -644,6 +652,35 @@ class NodeTable:
 def tree_values(tree, X):
     """One tree's values at every row of X."""
     return NodeTable([tree]).evaluate(X)[0]
+
+
+def distinct_rows(X):
+    """X's distinct rows, compared byte for byte, and each row's index among
+    them: ``rows[inverse]`` is X bit for bit.
+
+    A tree routes and values each row on its own, so its values at X are
+    its values at ``rows`` gathered by ``inverse``.  Comparing bytes rather
+    than values keeps -0.0 apart from 0.0 and NaNs apart by payload, so no
+    row is evaluated on cells other than its own.
+    """
+    X = np.ascontiguousarray(X)
+    n, width = X.shape
+    if width == 0:  # every row is the same empty row
+        return X[:1], np.zeros(n, dtype=np.intp)
+    keys = X.view(np.dtype((np.void, X.itemsize * width))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return X[first], inverse
+
+
+def predict_distinct(ensembles, X):
+    """(U, E) predictions of E ensembles at the U distinct rows of X, and
+    each row's index among them (``distinct_rows``): ``values[inverse]`` is
+    every ensemble's ``predict(X)``, each from one ``predict`` on U rows."""
+    rows, inverse = distinct_rows(X)
+    values = np.empty((len(rows), len(ensembles)))
+    for j, ens in enumerate(ensembles):
+        values[:, j] = ens.predict(rows)
+    return values, inverse
 
 
 class TreeEnsemble:

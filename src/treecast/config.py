@@ -289,6 +289,7 @@ def _validate(cfg: RunConfig) -> list:
         ("net.hidden", lambda: cfg.net.hidden >= 1, ">= 1"),
         ("net.dropout", lambda: 0 <= cfg.net.dropout < 1, "in [0, 1)"),
         ("net.lr", lambda: cfg.net.lr > 0, "> 0"),
+        ("net.betas", lambda: all(0 <= b < 1 for b in cfg.net.betas), "two numbers in [0, 1)"),
     )
     for name, in_range, must in ranges:
         if name in typed and not in_range():

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boosting import BoostConfig, SplitMatrix, TreeEnsemble, tree_values
+from .boosting import (BoostConfig, SplitMatrix, TreeEnsemble, distinct_rows, predict_distinct,
+                       tree_values)
 from .data import PanelDataset, TimeSeries, feature_matrix, future_panel
 from .errors import NumericError, SchemaError
 from .targets import Objective, TargetSpec
@@ -68,15 +69,13 @@ class HyperTreeModel:
                 f"feature schema mismatch: model has {self.feature_names}, data has {tuple(names)}"
             )
 
-    def predict_raw(self, X: np.ndarray) -> np.ndarray:
-        cols = [self.base_raw[j] + self.ensembles[j].predict(X)
-                for j in range(len(self.ensembles))]
-        return np.column_stack(cols)
-
     def predict_parameters(self, X: np.ndarray):
-        """(raw, linked values), both (N, P)."""
-        raw = self.predict_raw(X)
-        return raw, self.spec.target.link(raw)
+        """(raw, linked values), both (N, P).  Each ensemble and the
+        elementwise link run once per distinct row of X (compared byte for
+        byte), and the values are gathered back to every row."""
+        values, inverse = predict_distinct(self.ensembles, X)
+        raw = self.base_raw + values
+        return raw[inverse], self.spec.target.link(raw)[inverse]
 
     def parameters(self, ds: PanelDataset) -> np.ndarray:
         """(N, P) linked parameters of the panel's rows."""
@@ -116,6 +115,7 @@ def train(ds: PanelDataset, spec: TargetSpec, config: BoostConfig,
     recipe = recipe or FeatureRecipe()
     fs = recipe.build(ds)
     matrix = SplitMatrix(fs.X, fs.kinds)  # shared by every tree of the fit
+    rows, inverse = distinct_rows(fs.X)   # each new tree is evaluated on these
     objective = Objective(ds, spec)
     P = spec.param_count
     base = spec.target.base(ds)
@@ -131,7 +131,7 @@ def train(ds: PanelDataset, spec: TargetSpec, config: BoostConfig,
             raise NumericError(f"non-finite training loss at round {rnd}")
         for j in range(P):
             tree = ensembles[j].boost_round(matrix, g[:, j], h[:, j], counts, log.notes)
-            raw[:, j] += config.learning_rate * tree_values(tree, fs.X)
+            raw[:, j] += config.learning_rate * tree_values(tree, rows)[inverse]
         loss, g, h, _ = objective.evaluate(raw)
         log.append(rnd, loss / objective.n_weight, time.perf_counter() - t0)
 

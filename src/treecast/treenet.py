@@ -22,7 +22,8 @@ from typing import Literal, get_args
 
 import numpy as np
 
-from .boosting import BoostConfig, SplitMatrix, TreeEnsemble, floor_hessian, tree_values
+from .boosting import (BoostConfig, SplitMatrix, TreeEnsemble, distinct_rows, floor_hessian,
+                       predict_distinct, tree_values)
 from .data import PanelDataset
 from .errors import NumericError
 from .hypertree import FeatureRecipe, HyperTreeModel, TrainLog
@@ -163,11 +164,13 @@ class TreeNetModel:
     parameters = HyperTreeModel.parameters
 
     def embeddings(self, X: np.ndarray) -> np.ndarray:
+        """(N, d) embeddings.  The trees run once per distinct row of X
+        (compared byte for byte) and their values are gathered back to
+        every row; the MLP that decodes them runs on every row."""
         if self.net_cfg.encoder == "features":
             return (X - self.feat_center) / self.feat_scale
-        if not self.ensembles:
-            return np.zeros((X.shape[0], 0))
-        return np.column_stack([e.predict(X) for e in self.ensembles])
+        values, inverse = predict_distinct(self.ensembles, X)
+        return values[inverse]
 
     def project(self, E: np.ndarray) -> np.ndarray:
         return E @ self.projection.T if self.projection is not None else E
@@ -285,6 +288,7 @@ def train(ds: PanelDataset, spec: TargetSpec, boost_cfg: BoostConfig,
         ensembles = [TreeEnsemble(boost_cfg, base=0.0, n_features=fs.n_features)
                      for _ in range(d)]
         matrix = SplitMatrix(fs.X, fs.kinds)  # shared by every tree of the fit
+        rows, inverse = distinct_rows(fs.X)   # each new tree is evaluated on these
         E = np.zeros((ds.n_rows, d))
     else:
         feat_center = fs.X.mean(axis=0)
@@ -319,6 +323,6 @@ def train(ds: PanelDataset, spec: TargetSpec, boost_cfg: BoostConfig,
             for j in range(d):
                 tree = ensembles[j].boost_round(matrix, ge[:, j], he[:, j], counts,
                                                 log.notes)
-                E[:, j] += boost_cfg.learning_rate * tree_values(tree, fs.X)
+                E[:, j] += boost_cfg.learning_rate * tree_values(tree, rows)[inverse]
         log.append(it, loss / n_w, time.perf_counter() - t0)
     return model, log

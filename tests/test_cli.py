@@ -818,6 +818,8 @@ class TestConfigTypes:
         (["model.family=treenet", "net.k=0"], "net.k: must be >= 1"),
         (["model.family=treenet", "net.lr=-1"], "net.lr: must be > 0"),
         (["boosting.linear_ridge=-1"], "boosting.linear_ridge: must be >= 0"),
+        (["model.family=treenet", "net.betas=[1.5,-1]"], "net.betas: must be two numbers in [0, 1)"),
+        (["model.family=treenet", "net.betas=[0.9,1.0]"], "net.betas: must be two numbers in [0, 1)"),
     ])
     def test_wrong_type_exit_2(self, runner, tmp_path, overrides, message):
         args = ["train", AR_CONFIG, "--set", f"data.path={tmp_path / 'missing.csv'}",

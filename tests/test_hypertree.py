@@ -185,7 +185,7 @@ class TestPersistence:
         d = model.to_dict()
         back = HyperTreeModel.from_dict(json.loads(json.dumps(d)))
         fs = air_recipe.build(air_train)
-        assert np.array_equal(model.predict_raw(fs.X), back.predict_raw(fs.X))
+        assert np.array_equal(model.predict_parameters(fs.X)[0], back.predict_parameters(fs.X)[0])
 
     def test_indented_bundle_loads_bit_exact(self, air_ar_model, air_train, air_recipe,
                                              tmp_path):
@@ -205,7 +205,8 @@ class TestPersistence:
         for path in (tmp_path / "compact", indented):
             back, _, _ = load_bundle(path)
             assert back.to_dict() == model.to_dict()
-            assert np.array_equal(back.predict_raw(fs.X), model.predict_raw(fs.X))
+            assert np.array_equal(back.predict_parameters(fs.X)[0],
+                                  model.predict_parameters(fs.X)[0])
 
     def test_save_and_load_restore_the_collector(self, air_ar_model, tmp_path, monkeypatch):
         import gc
@@ -264,7 +265,7 @@ class TestLinearLeafPersistence:
         assert not any("intercept" in leaf for leaf in leaves)
         assert back.to_dict() == model.to_dict()
         fs = air_recipe.build(air_train)
-        assert np.array_equal(back.predict_raw(fs.X), model.predict_raw(fs.X))
+        assert np.array_equal(back.predict_parameters(fs.X)[0], model.predict_parameters(fs.X)[0])
 
     @pytest.mark.parametrize("old_weight", ["same", "other"])
     def test_old_layout_predicts_the_same(self, linear_model, air_train, air_recipe,
