@@ -94,9 +94,11 @@ def grid_search_ets(ds: PanelDataset, spec: TargetSpec, horizon: int, grid=None)
 
     Each series of the padded panel ``ds`` holds out its last
     min(horizon, n // 4) observed values, and a series with nothing to hold
-    out is skipped.  All parameters share one constant, swept over
-    {0.1, ..., 0.9}; a candidate is scored by one forecast of the held-out
-    panel, and one that trips a numeric guard on any series is not scored.
+    out is skipped.  The start states of the shortened panel are built
+    first, and a series that has none fails the search, named.  All
+    parameters share one constant, swept over {0.1, ..., 0.9}; a candidate
+    is scored by one forecast of the held-out panel, and one that trips a
+    numeric guard on any series is not scored.
     Ties go to the first value.  Returns the best value.
     """
     series, keep, held = [], [], []
@@ -111,6 +113,7 @@ def grid_search_ets(ds: PanelDataset, spec: TargetSpec, horizon: int, grid=None)
     if not series:
         raise DataError("smoothing grid search: no series has the 4 observations a hold-out needs")
     train = spec.target.prepare(ds.take(series, np.concatenate(keep)))
+    spec.target.bind(train)  # start states: a series without one fails here, named
     if grid is None:
         grid = [round(0.1 * k, 1) for k in range(1, 10)]
     best_val, best = None, None
@@ -180,6 +183,7 @@ def train_baseline(ds: PanelDataset, cfg) -> BaselineModel:
     if spec.kind != "ar":
         if cfg.model.grid_search:
             return BaselineModel.smoothing(spec, grid_search_ets(ds, spec, cfg.eval.horizon))
+        spec.target.bind(ds)  # start states, as every family fails on them at training
         return BaselineModel.smoothing(spec, cfg.model.fixed_value)
     per_series = {}
     for i, s in enumerate(ds.series):

@@ -212,8 +212,6 @@ def cmd_decompose(config_path, out, overrides):
     if cfg.model.target != "stl":
         raise ConfigError("decompose requires model.target = stl")
     ds = prepare_dataset(cfg)
-    if cfg.model.family == "baseline":
-        raise ConfigError("decompose requires a tree-based model family")
     model, _ = _train_family(cfg, ds)
     spec = model.spec
 
@@ -247,9 +245,9 @@ def cmd_decompose(config_path, out, overrides):
 @main.command("bench-scaling")
 @click.argument("config_path", type=click.Path(), required=False)
 @click.option("--p-list", default="1,6,12,24", show_default=True)
-@click.option("--n-rows", default=5000, show_default=True)
-@click.option("--iterations", default=20, show_default=True)
-@click.option("--repeats", default=3, show_default=True)
+@click.option("--n-rows", default=5000, show_default=True, type=click.IntRange(min=1))
+@click.option("--iterations", default=20, show_default=True, type=click.IntRange(min=1))
+@click.option("--repeats", default=3, show_default=True, type=click.IntRange(min=1))
 @click.option("--out", default="scaling.csv", show_default=True)
 @click.option("--seed", default=7, show_default=True)
 @_exit_codes
@@ -261,6 +259,8 @@ def cmd_bench_scaling(config_path, p_list, n_rows, iterations, repeats, out, see
         p_values = [int(x) for x in p_list.split(",")]
     except ValueError:
         raise ConfigError(f"--p-list must be comma-separated integers, got {p_list!r}")
+    if min(p_values) < 1:
+        raise ConfigError(f"--p-list: every P must be >= 1, got {p_list!r}")
     rows = run_scaling_benchmark(cfg, p_values, n_rows, iterations, seed, repeats)
     bundle_io.write_csv(out, ("P", "family", "median_seconds_per_iter", "relative"), rows)
     for r in rows:
@@ -286,7 +286,7 @@ def run_scaling_benchmark(cfg: RunConfig, p_values, n_rows, iterations, seed,
             return nullcontext()
 
     length = 200
-    n_series = max(1, int(np.ceil(n_rows / length)))
+    n_series = int(np.ceil(n_rows / length))
     ds = synthetic_panel(n_series, length, seed=seed)
 
     def one_run(family, P, rounds):
@@ -305,7 +305,7 @@ def run_scaling_benchmark(cfg: RunConfig, p_values, n_rows, iterations, seed,
             one_run(family, p_values[0], max(2, iterations // 4))  # warm-up
             # interleave the repeats so a contention burst cannot bias one P only
             samples = {P: [] for P in p_values}
-            for _ in range(max(1, repeats)):
+            for _ in range(repeats):
                 for P in p_values:
                     samples[P].append(one_run(family, P, iterations))
             times = {P: min(samples[P]) for P in p_values}

@@ -48,10 +48,6 @@ class TrainLog:
     def append(self, rnd, loss, seconds):
         self.rows.append((rnd, loss, seconds))
 
-    @property
-    def losses(self):
-        return [r[1] for r in self.rows]
-
 
 class HyperTreeModel:
     def __init__(self, spec: TargetSpec, ensembles, base_raw, recipe: FeatureRecipe,

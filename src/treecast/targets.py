@@ -37,8 +37,11 @@ Derivatives*, 2008): one forward pass over t records the states, and one
 backward pass carries the adjoint lambda and the d x d Gauss-Newton
 matrix W (d = 2 + m) from which every step's gradient and Hessian
 diagonal follow.  Both passes run over every series of the padded panel at
-once, so a series costs O(T m) rather than the O(T^2 P) of forward
-sensitivities; see ``_ets_adjoint``.
+once, on one (T, S) grid, so a series costs O(T m) rather than the
+O(T^2 P) of forward sensitivities; see ``_ets_adjoint``.  A smoothing
+state has one form, start and end alike: the array triple level (S,),
+trend (S,) and ring (S, m), which ``ets_init`` builds for every series at
+once and ``_ets_end_states`` gathers after the forward pass.
 """
 
 from __future__ import annotations
@@ -173,48 +176,57 @@ def ar_forecast(theta: np.ndarray, history: np.ndarray, intercept=0.0) -> np.nda
 # the linear-trend variant drops the seasonal ring and the damping factor)
 # --------------------------------------------------------------------------
 
-@dataclass
-class EtsState:
-    level: float
-    trend: float
-    ring: np.ndarray  # last m seasonal values, oldest first
+def ets_init(y, mask, m: int, seasonal: bool, series_ids):
+    """Every series' start state (level (S,), trend (S,), ring (S, m)) from
+    the first unmasked values of a (T, S) grid, Holt-Winters style.
 
-
-def ets_init(y: np.ndarray, m: int, seasonal: bool) -> EtsState:
-    """Holt-Winters style start values from the first observations.
-
-    level = mean of the first m points; trend = (mean of the second m -
-    mean of the first m) / m when available, else 0; seasonal ring = first
-    m points over the level, normalized to mean 1.
+    level = mean of a series' first min(m, n) values; trend = (mean of the
+    second m - mean of the first m) / m when n >= 2m, else 0; seasonal ring
+    = first m values over the level, normalized to mean 1 (ones when n < m,
+    and ones (S, 1) for the linear variant).  Each mean is one row-wise mean
+    per distinct count, so it adds one series' values as ``np.mean`` of
+    them does.  A series with no unmasked value, or, when seasonal, a level
+    <= GUARD_EPS or a ring summing to <= GUARD_EPS raises ``NumericError``
+    naming the lowest failing series.
     """
-    n = len(y)
-    if n == 0:
-        raise NumericError("cannot initialize smoothing state from empty series")
-    take = min(m, n)
-    l0 = float(np.mean(y[:take]))
-    b0 = 0.0
-    if n >= 2 * m:
-        b0 = (float(np.mean(y[m : 2 * m])) - l0) / m
-    if not seasonal:
-        return EtsState(l0, b0, np.ones(m))
-    if l0 <= GUARD_EPS:
-        raise NumericError("multiplicative smoothing needs a positive starting level")
-    if n >= m:
-        ring = y[:m] / l0
-        total = float(ring.sum())
-        if total <= GUARD_EPS:
-            raise NumericError("degenerate seasonal initialization")
-        ring = ring * (m / total)
-    else:
-        ring = np.ones(m)
-    return EtsState(l0, b0, ring.astype(np.float64))
+    T, S = y.shape
+    n = mask.sum(axis=0)
+    # row i: series i's first min(2m, T) unmasked values, then masked ones
+    first = np.take_along_axis(y.T, np.argsort(~mask.T, axis=1, kind="stable")[:, :2 * m], axis=1)
+    level, trend = np.zeros(S), np.zeros(S)
+    take = np.minimum(n, m)
+    for k in set(take.tolist()) - {0}:
+        level[take == k] = np.mean(first[take == k, :k], axis=1)
+    full = n >= 2 * m
+    if full.any():
+        with np.errstate(invalid="ignore"):  # inf - inf after an overflowing mean, as on floats
+            trend[full] = (np.mean(first[full, m:2 * m], axis=1) - level[full]) / m
+    ring = np.ones((S, m if seasonal else 1))
+    checks = {"cannot initialize smoothing state from empty series": n == 0}
+    if seasonal:
+        low = level <= GUARD_EPS
+        on = (n >= m) & ~low
+        if on.any():
+            ring[on] = first[on, :m] / level[on, None]
+        total = ring.sum(axis=1)
+        flat = on & (total <= GUARD_EPS)
+        ring[on & ~flat] *= (m / total[on & ~flat])[:, None]
+        checks["multiplicative smoothing needs a positive starting level"] = low
+        checks["degenerate seasonal initialization"] = flat
+    failed = np.any(list(checks.values()), axis=0)
+    if failed.any():
+        i = np.argmax(failed)
+        raise NumericError(f"series {series_ids[i]!r}: "
+                           + next(msg for msg, hit in checks.items() if hit[i]))
+    return level, trend, ring
 
 
-def _ets_forward(target, y, values, mask, inits, series_ids):
+def _ets_forward(target, y, values, mask, start, series_ids):
     """Filter every series of a (T, S) grid at once, one step per t.
 
-    ``y`` and ``mask`` are (T, S), ``values`` (T, S, P) and ``inits`` one
-    start state per series.  Each step is the one-step-ahead filter
+    ``y`` and ``mask`` are (T, S), ``values`` (T, S, P) and ``start`` the
+    (level, trend, ring) triple that ``ets_init`` and ``_ets_end_states``
+    return.  Each step is the one-step-ahead filter
 
         fitted_t = (l_{t-1} + phi_t b_{t-1}) * s_{t-m},
 
@@ -239,11 +251,10 @@ def _ets_forward(target, y, values, mask, inits, series_ids):
     a, b, gmm, phi = target.columns(values)
     oma, ombphi = 1.0 - a, (1.0 - b) * phi
     level, trend = np.empty((T + 1, S)), np.empty((T + 1, S))
-    level[0] = [st.level for st in inits]
-    trend[0] = [st.trend for st in inits]
+    level[0], trend[0] = start[0], start[1]
     if seasonal:
         ring = np.empty((T + m, S))
-        ring[:m] = np.array([st.ring for st in inits], dtype=np.float64).T
+        ring[:m] = start[2].T
         gy, omg = gmm * y, 1.0 - gmm
     else:
         ring, ay = None, a * y
@@ -405,25 +416,6 @@ def _ets_adjoint(target, y, mask, values, slope, level, trend, v, s):
         h[..., PHI] += df_phi * df_phi
     h *= 2.0
     return float(np.sum(r * r)), g, h, fitted
-
-
-def ets_loss_grad(y, raw, spec: TargetSpec, inits, mask=None, series_ids=None):
-    """Loss, gradient and Gauss-Newton Hessian w.r.t. the raw parameters of
-    S equal-length series: ``y`` (S, T), ``raw`` (S, T, P), ``inits`` one
-    start state per series.  One forward and one adjoint pass over t, each
-    vectorized over the series (see ``_ets_adjoint``).
-    Returns (loss, g, h, fitted) with g/h (S, T, P), zero on masked steps.
-    """
-    target = spec.target
-    y = np.asarray(y, dtype=np.float64)
-    S, T = y.shape
-    y = y.T.copy()
-    mask = np.ones((T, S), dtype=bool) if mask is None else np.asarray(mask, dtype=bool).T.copy()
-    ids = [""] * S if series_ids is None else series_ids
-    values, slope = target.link_slope(np.asarray(raw, dtype=np.float64).transpose(1, 0, 2))
-    level, trend, _, v, s = _ets_forward(target, y, values, mask, inits, ids)
-    loss, g, h, fitted = _ets_adjoint(target, y, mask, values, slope, level, trend, v, s)
-    return loss, g.transpose(1, 0, 2), h.transpose(1, 0, 2), fitted.T
 
 
 # --------------------------------------------------------------------------
@@ -639,35 +631,34 @@ class SmoothingTarget(Target):
         if np.any((phi <= 0) | (phi > 1)):
             raise NumericError("damping factor must lie in (0, 1]")
 
+    @staticmethod
+    def grid(ds, x):
+        """A row array (N, ...) of the padded panel, whose series share one
+        length, as a (T, S, ...) view: [t, i] is step t of series i."""
+        return x.reshape(ds.n_series, -1, *x.shape[1:]).swapaxes(0, 1)
+
     def bind(self, ds):
-        """Each series' start state, from its unmasked observations; the
-        padded panel's series share one length."""
+        """The grid's y and mask and every series' start state."""
         if len({len(s) for s in ds.series}) > 1:
             raise ValueError("smoothing needs series of equal length (pad_for_ets)")
-        inits = []
-        for i, s in enumerate(ds.series):
-            rows = ds.rows_of(i)
-            try:
-                inits.append(ets_init(ds.y[rows][ds.mask[rows]], self.spec.m, self.seasonal))
-            except NumericError as exc:
-                raise NumericError(f"series {s.series_id!r}: {exc}") from None
-        return ds.mask.copy(), (inits, [s.series_id for s in ds.series])
+        y, mask = self.grid(ds, ds.y).copy(), self.grid(ds, ds.mask).copy()
+        ids = [s.series_id for s in ds.series]
+        return ds.mask.copy(), (y, mask, ets_init(y, mask, self.spec.m, self.seasonal, ids), ids)
 
     def loss(self, raw, ds, state):
-        inits, ids = state
-        S, P = ds.n_series, raw.shape[1]
-        loss, g, h, fitted = ets_loss_grad(ds.y.reshape(S, -1), raw.reshape(S, -1, P), self.spec,
-                                           inits, ds.mask.reshape(S, -1), ids)
-        return _masked_floored(ds.mask, loss, g.reshape(-1, P), h.reshape(-1, P), fitted.ravel())
+        y, mask, start, ids = state
+        values, slope = self.link_slope(self.grid(ds, raw))
+        level, trend, _, v, s = _ets_forward(self, y, values, mask, start, ids)
+        loss, g, h, fitted = _ets_adjoint(self, y, mask, values, slope, level, trend, v, s)
+        P = raw.shape[1]
+        g, h = g.swapaxes(0, 1).reshape(-1, P), h.swapaxes(0, 1).reshape(-1, P)
+        return _masked_floored(ds.mask, loss, g, h, fitted.T.ravel())
 
     def forecast_state(self, model, ds):
         # one forward pass over the training rows reaches every series' end state
         values = model.parameters(ds)
-        inits, ids = self.bind(ds)[1]
-        S = ds.n_series
-        grid = lambda x: x.reshape(S, -1, *x.shape[1:]).swapaxes(0, 1)
-        mask = grid(ds.mask)
-        level, trend, ring, _, _ = _ets_forward(self, grid(ds.y), grid(values), mask, inits, ids)
+        y, mask, start, ids = self.bind(ds)[1]
+        level, trend, ring, _, _ = _ets_forward(self, y, self.grid(ds, values), mask, start, ids)
         return _ets_end_states(self, mask, level, trend, ring)
 
     def forecast(self, values, ds, t_future, ends):

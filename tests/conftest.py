@@ -8,9 +8,10 @@ from treecast.datasets import bundled_path
 from treecast.errors import DataError
 from treecast.hypertree import BoostConfig, FeatureRecipe
 from treecast.hypertree import train as train_hypertree
-from treecast.targets import (EtsState, TargetSpec, _ets_end_states, _ets_forward, _stl_loss,
-                              ar_forecast, ets_loss_grad)
+from treecast.targets import (TargetSpec, _ets_adjoint, _ets_end_states, _ets_forward, _stl_loss,
+                              ar_forecast)
 
+from reference_ets import EtsState
 from reference_forecast import ar_forecast_recursive
 
 
@@ -46,21 +47,35 @@ def drop_last(ds: PanelDataset, h: int) -> PanelDataset:
     return ds.take(series, np.concatenate(keep))
 
 
+def one_series_grid(y, mask, init):
+    """(y, mask) of one series as a (T, 1) grid, and its start ``EtsState``
+    as the kernels' (level, trend, ring) triple."""
+    y = np.asarray(y, dtype=np.float64)[:, None]
+    mask = np.ones(y.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)[:, None]
+    start = (np.array([init.level]), np.array([init.trend]),
+             np.asarray(init.ring, dtype=np.float64)[None])
+    return y, mask, start
+
+
 def ets_one_series(y, raw, spec, init):
     """The smoothing kernel on one series: (loss, g, h, fitted) shaped like
-    ``y`` and ``raw``."""
-    loss, g, h, fitted = ets_loss_grad(np.asarray(y)[None], np.asarray(raw)[None], spec, [init])
-    return loss, g[0], h[0], fitted[0]
+    ``y`` and ``raw``, from the forward and adjoint passes on a one-series
+    grid."""
+    target = spec.target
+    y, mask, start = one_series_grid(y, None, init)
+    values, slope = target.link_slope(np.asarray(raw, dtype=np.float64)[:, None, :])
+    level, trend, _, v, s = _ets_forward(target, y, values, mask, start, [""])
+    loss, g, h, fitted = _ets_adjoint(target, y, mask, values, slope, level, trend, v, s)
+    return loss, g[:, 0], h[:, 0], fitted[:, 0]
 
 
 def ets_filter_one(y, values, spec, init, mask=None, series_id=""):
     """The smoothing target's panel filter and end-state gather on one
     series: (fitted, end EtsState).  Padded steps (mask False) freeze the
     state and fit 0."""
-    y = np.asarray(y, dtype=np.float64)[:, None]
+    y, mask, start = one_series_grid(y, mask, init)
     values = np.asarray(values, dtype=np.float64)[:, None, :]
-    mask = np.ones(y.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)[:, None]
-    level, trend, ring, v, s = _ets_forward(spec.target, y, values, mask, [init], [series_id])
+    level, trend, ring, v, s = _ets_forward(spec.target, y, values, mask, start, [series_id])
     end_level, end_trend, end_ring = _ets_end_states(spec.target, mask, level, trend, ring)
     return np.where(mask, v * s, 0.0)[:, 0], EtsState(end_level[0], end_trend[0], end_ring[0])
 

@@ -1,17 +1,71 @@
 """Reference smoothing kernels: the single-series loops, one Python step
 per time step.
 
-``reference_filter`` is the scalar one-step-ahead filter and
+``ets_init`` builds one series' start state from its observations, as an
+``EtsState`` record; tests compare the panel-wide ``targets.ets_init``
+against it.  ``reference_filter`` is the scalar one-step-ahead filter and
 ``reference_derivatives`` the forward sensitivity recursion, which carries
 the Jacobian of every state against every (step, parameter) pair.  Tests
 compare the batched forward and adjoint passes of ``treecast.targets``
 against them.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from treecast.errors import NumericError
-from treecast.targets import ALPHA, BETA, GAMMA, GUARD_EPS, PHI, EtsState, TargetSpec
+from treecast.targets import ALPHA, BETA, GAMMA, GUARD_EPS, PHI, TargetSpec
+
+
+@dataclass
+class EtsState:
+    level: float
+    trend: float
+    ring: np.ndarray  # last m seasonal values, oldest first
+
+
+def ets_init(y: np.ndarray, m: int, seasonal: bool) -> EtsState:
+    """Holt-Winters style start values from the first observations.
+
+    level = mean of the first m points; trend = (mean of the second m -
+    mean of the first m) / m when available, else 0; seasonal ring = first
+    m points over the level, normalized to mean 1.
+    """
+    n = len(y)
+    if n == 0:
+        raise NumericError("cannot initialize smoothing state from empty series")
+    take = min(m, n)
+    l0 = float(np.mean(y[:take]))
+    b0 = 0.0
+    if n >= 2 * m:
+        b0 = (float(np.mean(y[m : 2 * m])) - l0) / m
+    if not seasonal:
+        return EtsState(l0, b0, np.ones(m))
+    if l0 <= GUARD_EPS:
+        raise NumericError("multiplicative smoothing needs a positive starting level")
+    if n >= m:
+        ring = y[:m] / l0
+        total = float(ring.sum())
+        if total <= GUARD_EPS:
+            raise NumericError("degenerate seasonal initialization")
+        ring = ring * (m / total)
+    else:
+        ring = np.ones(m)
+    return EtsState(l0, b0, ring.astype(np.float64))
+
+
+def series_inits(ds, m: int, seasonal: bool) -> list:
+    """One ``EtsState`` per series of a padded panel, from its unmasked
+    values; the first series that has none raises, named."""
+    inits = []
+    for i, s in enumerate(ds.series):
+        rows = ds.rows_of(i)
+        try:
+            inits.append(ets_init(ds.y[rows][ds.mask[rows]], m, seasonal))
+        except NumericError as exc:
+            raise NumericError(f"series {s.series_id!r}: {exc}") from None
+    return inits
 
 
 def reference_filter(y, values, spec: TargetSpec, init: EtsState, mask=None, series_id=""):

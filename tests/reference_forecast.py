@@ -11,7 +11,9 @@ import numpy as np
 
 from treecast.data import future_panel
 from treecast.errors import DataError
-from treecast.targets import PHI, EtsState, TargetSpec, _ets_forward, stl_components
+from treecast.targets import PHI, TargetSpec, _ets_forward, stl_components
+
+from reference_ets import EtsState
 
 
 def ar_history(ds, i: int, p: int) -> np.ndarray:
@@ -84,11 +86,8 @@ def ets_forecast(state: EtsState, phi_future, h: int, spec: TargetSpec) -> np.nd
 def ets_forecast_state(target, model, ds):
     # one forward pass over the training rows reaches every series' end state
     values = model.parameters(ds)
-    inits, ids = target.bind(ds)[1]
-    S = ds.n_series
-    grid = lambda x: x.reshape(S, -1, *x.shape[1:]).swapaxes(0, 1)
-    mask = grid(ds.mask)
-    level, trend, ring, _, _ = _ets_forward(target, grid(ds.y), grid(values), mask, inits, ids)
+    y, mask, start, ids = target.bind(ds)[1]
+    level, trend, ring, _, _ = _ets_forward(target, y, target.grid(ds, values), mask, start, ids)
     return ets_end_states(target, mask, level, trend, ring)
 
 

@@ -8,10 +8,10 @@ from treecast.config import config_from_dict
 from treecast.data import pad_for_ets
 from treecast.errors import DataError, NumericError
 from treecast.metrics import wape
-from treecast.targets import TargetSpec, ets_init
+from treecast.targets import TargetSpec
 
 from conftest import ar2_sim, ar_forecast_one, drop_last, ets_filter_one, make_panel
-from reference_ets import reference_filter
+from reference_ets import ets_init, reference_filter
 from reference_forecast import ets_forecast
 
 GRID = [round(0.1 * k, 1) for k in range(1, 10)]

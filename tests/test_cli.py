@@ -535,6 +535,17 @@ class TestDecompose:
         res = runner.invoke(main, ["decompose", cfg, "--out", str(tmp_path / "d")])
         assert res.exit_code == 2
 
+    def test_baseline_family_rejected_by_config(self, runner, tmp_path):
+        """The baseline family has no stl target, so its config fails
+        validation before decompose reads any data."""
+        repo = Path(__file__).resolve().parent.parent
+        out = tmp_path / "d"
+        res = runner.invoke(main, ["decompose", str(repo / "configs/air_passengers_stl.yaml"),
+                                   "--set", "model.family=baseline", "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert "model.target: the baseline family supports" in res.output
+        assert not out.exists()
+
     def test_untrained_model_gives_zero_seasonal(self, runner, tmp_path):
         repo = Path(__file__).resolve().parent.parent
         out = tmp_path / "dec0"
@@ -629,6 +640,27 @@ class TestBenchScaling:
         for row in rows:
             if row[0] == "1":
                 assert float(row[3]) == 1.0
+
+    @pytest.mark.parametrize("args, option", [
+        (["--p-list", "0"], "--p-list"),
+        (["--p-list", "1,-3"], "--p-list"),
+        (["--iterations", "0"], "--iterations"),
+        (["--n-rows", "0"], "--n-rows"),
+        (["--n-rows", "-5"], "--n-rows"),
+        (["--repeats", "0"], "--repeats"),
+    ])
+    def test_option_below_one_exit_2(self, runner, tmp_path, monkeypatch, args, option):
+        def no_training(*args):
+            raise AssertionError("trained despite an invalid option")
+
+        monkeypatch.setattr(hypertree, "train", no_training)
+        monkeypatch.setattr(treenet, "train", no_training)
+        out = tmp_path / "scaling.csv"
+        res = runner.invoke(main, ["bench-scaling", *args, "--out", str(out)])
+        assert res.exit_code == 2, res.output
+        assert option in res.output
+        assert res.exception is None or isinstance(res.exception, SystemExit)
+        assert not out.exists()
 
     def test_trains_with_the_configured_boosting_section(self, monkeypatch):
         """Every timed run gets the config's boosting section with only the
@@ -768,6 +800,23 @@ class TestErrorsNameTheSeries:
         res = runner.invoke(main, ["train", cfg, "--out", str(tmp_path / "b")])
         assert res.exit_code == 4, res.output
         assert "series 'bad': multiplicative smoothing needs a positive starting level" in res.output
+
+    @pytest.mark.parametrize("family, grid_search", [
+        ("hypertree", False), ("baseline", True), ("baseline", False)])
+    def test_smoothing_start_state_fails_training(self, runner, tmp_path, family, grid_search):
+        """Every family, and the baseline in both modes, fails at train, not
+        at forecast or per grid candidate, naming the series."""
+        data = write_series(tmp_path, {"a": 100 + 10 * np.sin(np.arange(36)),
+                                       "b": np.full(36, 1e-9)})
+        cfg = base_config(tmp_path, **{"model.family": family, "model.target": "ets",
+                                       "model.m": 12, "model.grid_search": grid_search,
+                                       "data.path": data, "boosting.rounds": 2})
+        out = tmp_path / "b"
+        res = runner.invoke(main, ["train", cfg, "--out", str(out)])
+        assert res.exit_code == 4, res.output
+        assert ("numeric failure: series 'b': multiplicative smoothing needs a positive "
+                "starting level") in res.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("sid, values, message", [
         ("short", np.arange(4.0), "4 observations are too short for an AR(2) fit"),

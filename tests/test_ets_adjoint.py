@@ -1,5 +1,5 @@
-"""The batched smoothing kernel against the single-series reference loops,
-and its positivity guard across series."""
+"""The batched smoothing kernel and the panel-wide start state against the
+single-series reference loops, and its positivity guard across series."""
 
 from dataclasses import replace
 
@@ -7,17 +7,17 @@ import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treecast.boosting import HESS_FLOOR
 from treecast.cli import main
 from treecast.data import pad_for_ets
 from treecast.errors import NumericError
-from treecast.targets import EtsState, Objective, TargetSpec, ets_init
+from treecast.targets import Objective, TargetSpec
 
 from conftest import ets_filter_one, make_panel
-from reference_ets import reference_derivatives, reference_filter
+from reference_ets import EtsState, ets_init, reference_derivatives, reference_filter, series_inits
 
 RTOL = 1e-12  # of the largest entry of each compared array
 
@@ -36,36 +36,96 @@ def close(got, ref):
     return np.max(np.abs(got - ref), initial=0.0) <= RTOL * np.max(np.abs(ref), initial=0.0)
 
 
+# start-state faults a drawn series may carry: every row masked, a level at
+# or below the guard (tiny or negative values), or 1.6e307 values whose sum
+# of twelve overflows, so the seasonal ring degenerates
+FAULTS = ("masked", "tiny", "negative", "huge")
+
+
+def fault_panel(spec, lengths, faults, rng):
+    """(padded panel, raw parameters): positive series of the given lengths,
+    each carrying its fault from ``FAULTS`` or None, with about one row in
+    ten masked as well (never a series' first row, nor a row of a "huge"
+    series, so that one keeps its twelve values)."""
+    series = {}
+    for i, (n, fault) in enumerate(zip(lengths, faults)):
+        y = 20 + 5 * np.sin(np.arange(n)) + rng.uniform(0, 3, n)
+        if fault == "tiny":
+            y *= 1e-12
+        elif fault == "negative":
+            y = -y
+        elif fault == "huge":
+            y = np.full(max(n, 12), 1.6e307)
+        series[f"s{i}"] = y
+    ds = spec.target.prepare(make_panel(series))
+    extra = rng.random(ds.n_rows) < 0.1
+    for i, fault in enumerate(faults):
+        rows = ds.rows_of(i)
+        extra[rows[0]] = fault == "masked"
+        if fault in ("masked", "huge"):
+            extra[rows] = fault == "masked"
+    ds = replace(ds, mask=ds.mask & ~extra)
+    return ds, rng.normal(0, 1, (ds.n_rows, spec.param_count))
+
+
 @st.composite
 def padded_panels(draw):
-    """1-5 positive series of unequal length (some shorter than m), padded,
-    with a few interior rows masked as well (never a series' first row)."""
+    """1-5 series of unequal length (some shorter than m) from
+    ``fault_panel``, each with or without a fault; "huge" only where it
+    trips the ring check (seasonal, m = 12)."""
     spec = TargetSpec(draw(st.sampled_from(["ets", "ets_linear"])),
                       m=draw(st.sampled_from([1, 2, 4, 12])))
-    lengths = draw(st.lists(st.integers(1, 30), min_size=1, max_size=5))
+    lengths = draw(st.lists(st.integers(1, 39), min_size=1, max_size=5))
+    faults = FAULTS if spec.target.seasonal and spec.m == 12 else FAULTS[:3]
+    faults = [draw(st.sampled_from((None,) * 6 + faults)) for _ in lengths]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    panel = make_panel({
-        f"s{i}": 20 + 5 * np.sin(np.arange(n)) + rng.uniform(0, 3, n)
-        for i, n in enumerate(lengths)
-    })
-    ds = spec.target.prepare(panel)
-    extra = rng.random(ds.n_rows) < 0.1
-    extra[[ds.rows_of(i)[0] for i in range(ds.n_series)]] = False
-    ds = replace(ds, mask=ds.mask & ~extra)
-    raw = rng.normal(0, 1, (ds.n_rows, spec.param_count))
-    return spec, ds, raw
+    return (spec, *fault_panel(spec, lengths, faults, rng))
+
+
+def start_states(spec, ds):
+    """The per-series oracle's start states, once the panel-wide ones are
+    checked equal to them bit for bit; None where the oracle fails, once the
+    panel is checked to fail with the same text (the lowest failing series)."""
+    target = spec.target
+    try:
+        inits = series_inits(ds, spec.m, target.seasonal)
+    except NumericError as exc:
+        with pytest.raises(NumericError) as err:
+            Objective(ds, spec)
+        assert str(err.value) == str(exc)
+        return None
+    level, trend, ring = target.bind(ds)[1][2]
+    for i, init in enumerate(inits):
+        assert (level[i], trend[i]) == (init.level, init.trend)
+        assert np.array_equal(ring[i], init.ring if target.seasonal else np.ones(1))
+    return inits
+
+
+def pinned(kind, m, lengths, faults):
+    spec = TargetSpec(kind, m=m)
+    return (spec, *fault_panel(spec, lengths, faults, np.random.default_rng(0)))
 
 
 @given(padded_panels())
+@example(pinned("ets", 12, [5, 3], [None, None]))  # a grid shorter than m
+@example(pinned("ets_linear", 4, [9, 2], ["negative", None]))
+# each start-state failure, named at series s1 or s0
+@example(pinned("ets", 4, [2, 9, 30], [None, "tiny", "masked"]))
+@example(pinned("ets", 12, [30, 14, 20], [None, "huge", "negative"]))
+@example(pinned("ets_linear", 12, [30, 7], ["negative", "masked"]))
+@example(pinned("ets", 2, [1, 4, 6], ["masked", "negative", None]))
 @settings(max_examples=150, deadline=None)
 def test_kernel_matches_reference(case):
     spec, ds, raw = case
     target = spec.target
+    inits = start_states(spec, ds)
+    if inits is None:
+        return
+
     refs, loss_ref = [], 0.0
     try:
-        for i, s in enumerate(ds.series):
+        for i, (s, init) in enumerate(zip(ds.series, inits)):
             rows = ds.rows_of(i)
-            init = ets_init(ds.y[rows][ds.mask[rows]], spec.m, target.seasonal)
             values = target.link(raw[rows])
             ref = reference_derivatives(ds.y[rows], raw[rows], spec, init, ds.mask[rows],
                                         s.series_id)

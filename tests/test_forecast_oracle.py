@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from treecast.baselines import BaselineModel, forecast_baseline
 from treecast.errors import DataError, NumericError
 from treecast.hypertree import forecast
-from treecast.targets import KINDS, EtsState, TargetSpec, ar_forecast
+from treecast.targets import KINDS, TargetSpec, ar_forecast
 
 import reference_forecast as ref
 from conftest import make_panel
+from reference_ets import EtsState
 
 # panels with series shorter than p + 1 are drawn on purpose
 pytestmark = pytest.mark.filterwarnings("ignore:series .* excluded from lag training")

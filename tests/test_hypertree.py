@@ -47,7 +47,7 @@ class TestTraining:
         spec = TargetSpec(kind="ar", p=12)
         _, log = train(air_train, spec,
                        BoostConfig(rounds=100, learning_rate=0.05), air_recipe)
-        losses = log.losses
+        losses = [r[1] for r in log.rows]
         drops = sum(1 for a, b in zip(losses, losses[1:]) if b <= a + 1e-12)
         assert drops >= 95
 
@@ -63,7 +63,7 @@ class TestTraining:
         ols = fit_ols_ar(y, 2, intercept=False)
         w, lags = spec.target.design(ds)
         ols_mse = float(np.mean((ds.y[w] - lags[w] @ ols.coefficients) ** 2))
-        assert log.losses[-1] <= 1.05 * ols_mse
+        assert log.rows[-1][1] <= 1.05 * ols_mse
 
 
 class TestPredictParameters:
@@ -161,7 +161,7 @@ class TestForecast:
         ds = pad_for_ets(make_panel({"a": y}, frequency="yearly"))
         spec = TargetSpec(kind="ets_linear", m=1)
         model, log = train(ds, spec, BoostConfig(rounds=50), FeatureRecipe(calendar=("year",)))
-        assert log.losses[-1] < log.losses[0]
+        assert log.rows[-1][1] < log.rows[0][1]
         (fc,), _ = forecast(model, ds, 5)
         assert np.all(np.diff(fc) > 0)  # trend continues upward
 

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treecast.errors import NumericError
-from treecast.targets import PHI, EtsState, TargetSpec, ets_init
+from treecast.targets import PHI, TargetSpec
 
 from conftest import ets_filter_one, ets_one_series, ets_sse
 from losses import finite_diff_check
+from reference_ets import EtsState, ets_init
 from reference_forecast import ets_forecast
 
 

@@ -130,7 +130,7 @@ class TestTraining:
         for flow in ("separate", "shared"):
             model, log = train(ds, spec, BoostConfig(rounds=50),
                                NetConfig(flow=flow), seed=1)
-            assert log.losses[-1] < log.losses[0]
+            assert log.rows[-1][1] < log.rows[0][1]
 
     def test_shared_flow_accuracy_close_to_separate(self, air_train, air_recipe, air_holdout):
         from treecast.metrics import wape
@@ -153,8 +153,8 @@ class TestTraining:
         ds = pad_for_ets(make_panel({"a": y}))
         spec = TargetSpec(kind="ets", m=12)
         model, log = train(ds, spec, BoostConfig(rounds=20), NetConfig(), seed=4)
-        assert np.isfinite(log.losses).all()
-        assert log.losses[-1] < log.losses[0]
+        assert np.isfinite([r[1] for r in log.rows]).all()
+        assert log.rows[-1][1] < log.rows[0][1]
         (fc,), _ = forecast(model, ds, 6)
         assert np.all(np.isfinite(fc))
 
@@ -165,7 +165,7 @@ class TestTraining:
         ds = make_panel({"a": y})
         spec = TargetSpec(kind="direct")
         model, log = train(ds, spec, BoostConfig(rounds=60), NetConfig(), seed=3)
-        assert log.losses[-1] < log.losses[0]
+        assert log.rows[-1][1] < log.rows[0][1]
         (fc,), _ = forecast(model, ds, 6)
         assert len(fc) == 6 and np.all(np.isfinite(fc))
 
@@ -215,7 +215,7 @@ class TestTraining:
         model, log = train(ds, spec, BoostConfig(rounds=30),
                            NetConfig(encoder="features"), seed=2)
         assert model.ensembles == []
-        assert log.losses[-1] < log.losses[0]
+        assert log.rows[-1][1] < log.rows[0][1]
         fc, _ = forecast(model, ds, 4)
         assert fc.shape == (1, 4)
 
@@ -229,7 +229,7 @@ class TestTraining:
         model, log = train(ds, spec, BoostConfig(rounds=3),
                            NetConfig(encoder="features", flow=flow, k=16), seed=2)
         assert model.projection.shape[0] > model.projection.shape[1]
-        assert np.isfinite(log.losses).all()
+        assert np.isfinite([r[1] for r in log.rows]).all()
 
     def test_no_projection_mode(self):
         ds = ar_panel()
@@ -237,7 +237,7 @@ class TestTraining:
         model, log = train(ds, spec, BoostConfig(rounds=10),
                            NetConfig(use_projection=False), seed=2)
         assert model.projection is None
-        assert log.losses[-1] < log.losses[0]
+        assert log.rows[-1][1] < log.rows[0][1]
 
 
 class TestPersistence:
