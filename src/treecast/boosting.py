@@ -10,15 +10,23 @@ with exact (non-histogram) enumeration: numeric candidates are midpoints of
 adjacent distinct values present in the node, categorical candidates are
 prefix groupings of the node's codes ordered by G/H.
 
-Everything that depends on X alone (categorical codes, each column's sort
-order and ranks, the bincount keys) is a SplitMatrix, built once per fit
-and shared by every tree grown on X.  A tree grows level by level, and
-every column is scanned for every open node of a depth at once.  A column
-with at most one distinct value per DENSE_ROWS_PER_VALUE rows is a grid
-column: one bincount sums g, h, the count weight and the row count per
-(node, column, rank), and one cumsum along the ranks gives every
-candidate.  A high-cardinality categorical column gets a bincount of its
-own; a high-cardinality numeric column is scanned through the matrix's sort
+Everything that depends on X alone (its distinct rows, categorical codes,
+each column's sort order and ranks, the bincount keys) is a SplitMatrix,
+built once per fit and shared by every tree grown on X.  Trees grow on X's
+distinct rows: rows with the same bytes take the same value in every
+column, so no split can part them.  Each distinct row carries the sums of
+g, h and the count weight over its rows, and its multiplicity (its count of
+rows) as the row count, so min_leaf, "one row on each side" and the
+candidates are those of every row.  Without repeated rows the grower sees
+g, h and the counts as they come.  A linear leaf is fit on its own rows.
+
+A tree grows level by level, and every column is scanned for every open
+node of a depth at once.  A column with at most one distinct value per
+DENSE_ROWS_PER_VALUE rows (of X, not distinct rows) is a grid column: one
+bincount sums g, h, the count weight and the row count per (node, column,
+rank), and one cumsum along the ranks gives every candidate.  A
+high-cardinality categorical column gets a bincount of its own; a
+high-cardinality numeric column is scanned through the matrix's sort
 order, stably partitioned by node, with one cumsum per node along a padded
 (node, position) layout.  Rows reach their children through one gather per
 depth.
@@ -39,7 +47,8 @@ _GRID_CELLS (tree, row) cells, adding the trees' values in tree order.
 A tree's value at a row depends on that row alone, so trees are evaluated
 once per distinct feature row (``distinct_rows``, comparing rows byte for
 byte) and the values gathered back to every row: in forecasting
-(``predict_distinct``) and in the training update after each new tree.
+(``predict_distinct``) and in the training update after each new tree,
+which takes the distinct rows from the fit's SplitMatrix.
 Calendar features repeat: every series of a panel shares the same months,
 so a 40-series monthly panel has 12 distinct rows among 4800 when its
 features are month and quarter.
@@ -155,26 +164,33 @@ class SplitMatrix:
     """What a split search needs of X alone, built once per fit.
 
     Every tree grown on X shares it, so it keeps only what the scans read,
-    in 32-bit integers.  Categorical cells count as integer codes.
-    ``values[f, ranks[:, f]]`` is column f; ``values`` rows are sorted and
-    padded with +inf.  A column with at least
-    DENSE_ROWS_PER_VALUE rows per distinct value is a grid column
-    (``dense``): ``keys`` holds the bincount key of every (statistic, grid
-    column, row), and one more grid column puts every row at rank 0 so that
-    its first cell sums a node's totals.  The other columns with two or more
-    values are ``sparse``: the numeric ones (``sorted_num``) are scanned
-    through ``order``, which lists the rows of each by value, ties by row
-    id, and each categorical one has bincount keys of its own
-    (``sorted_cat``).
+    in 32-bit integers.  The scans run on X's distinct rows (``rows``, by
+    ``distinct_rows``): rows with the same bytes share every value, so no
+    split can part them.  ``inverse`` gives each row of X its distinct row,
+    and ``multiplicity`` each distinct row's count of rows in X.  Without
+    repeated rows, ``rows`` is X in its own order and every multiplicity is
+    1.  Categorical cells count as integer codes.
+    ``values[f, ranks[:, f]]`` is column f of ``rows``; ``values`` rows are
+    sorted and padded with +inf.  A column with at least
+    DENSE_ROWS_PER_VALUE rows of X (not distinct rows) per distinct value is
+    a grid column (``dense``): ``keys`` holds the bincount key of every
+    (statistic, grid column, distinct row), and one more grid column puts
+    every row at rank 0 so that its first cell sums a node's totals.  The
+    other columns with two or more values are ``sparse``: the numeric ones
+    (``sorted_num``) are scanned through ``order``, which lists the distinct
+    rows of each by value, ties by first occurrence, and each categorical
+    one has bincount keys of its own (``sorted_cat``).
     """
 
     def __init__(self, X, kinds):
         self.X = X
-        m, n_feat = X.shape
+        self.rows, self.inverse = distinct_rows(X)
+        self.multiplicity = np.bincount(self.inverse, minlength=len(self.rows)).astype(np.float64)
+        m, n_feat = self.rows.shape
         self.is_cat = np.array([k != "num" for k in kinds], dtype=bool)
-        Xr = X
+        Xr = self.rows
         if self.is_cat.any():
-            Xr = X.copy()
+            Xr = Xr.copy()
             Xr[:, self.is_cat] = np.trunc(Xr[:, self.is_cat])  # categorical codes as integers
         order = Xr.argsort(axis=0, kind="stable")
         feats = np.arange(n_feat)
@@ -192,7 +208,7 @@ class SplitMatrix:
         self.values[feats, sorted_ranks] = sv
 
         live = [f for f in range(n_feat) if n_uniq[f] > 1]
-        dense = [f for f in live if DENSE_ROWS_PER_VALUE * n_uniq[f] <= m]
+        dense = [f for f in live if DENSE_ROWS_PER_VALUE * n_uniq[f] <= len(X)]
         sparse = [f for f in live if f not in dense]
         self.dense = np.array(dense, dtype=np.intp)
         self.sparse = np.array(sparse, dtype=np.intp)
@@ -243,25 +259,32 @@ class _LevelGrower:
       sequential sum a sort and cumsum of the node's rows give.  Candidates
       are the positions where the rank changes.
 
-    Node totals come from the grid.  Rows move to their children by one
-    gather per depth.
+    Its rows are the matrix's distinct rows, each with the sums of g, h and
+    the count weight over its rows of X (one bincount over ``inverse``, in
+    row order) and its multiplicity as its row count.  Node totals come from
+    the grid.  Rows move to their children by one gather per depth.
     """
 
     def __init__(self, matrix: SplitMatrix, g, h, counts, params: BoostConfig):
         self.mx = matrix
         self.params = params
-        self.g, self.h, self.c = g, h, counts
-        m, nd = len(g), len(matrix.dense)
+        self.g, self.h = g, h                           # every row's, for linear leaves
+        m, nd = len(matrix.rows), len(matrix.dense)
+        if m < len(g):
+            key = matrix.inverse + m * np.arange(3)[:, None]
+            g, h, counts = np.bincount(key.ravel(), np.concatenate([g, h, counts]),
+                                       minlength=3 * m).reshape(3, m)
+        self.c = counts
         weights = np.empty((4, nd + 1, m))
-        weights[0], weights[1], weights[2], weights[3] = g, h, counts, 1.0
-        self.stats = weights[:, 0]                      # g, h, count weight, 1 of each row
+        weights[0], weights[1], weights[2], weights[3] = g, h, counts, matrix.multiplicity
+        self.stats = weights[:, 0]                      # g, h, count weight, rows of each row
         self.weights = weights.reshape(4 * (nd + 1), m)
         self.floors = np.array([params.min_leaf, 1.0])[:, None, None]  # counted rows, rows
         self.rows = np.arange(m)
 
     def grow(self, log):
         p = self.params
-        node = np.zeros(len(self.g), dtype=np.intp)  # node of each row; finished rows: last id
+        node = np.zeros(len(self.rows), dtype=np.intp)  # node of each row; finished rows: last id
         places = [(None, None)]                       # (parent Split, side) of each open node
         paths = [frozenset()]                         # numeric features split on above it
         root = None
@@ -525,7 +548,7 @@ class _LevelGrower:
         p = self.params
         if not p.linear_leaves:
             return Leaf(leaf_weight(G, H, p.lam))
-        seg = np.flatnonzero(node == i)
+        seg = np.flatnonzero(node[self.mx.inverse] == i)  # the leaf's rows of X
         fids = sorted(path)
         Xn = self.mx.X[np.ix_(seg, fids)] if fids else np.zeros((len(seg), 0))
         b0, lin_fids, coef, ok = fit_linear_leaf(Xn, fids, self.g[seg], self.h[seg], p.lam,
@@ -655,8 +678,9 @@ def tree_values(tree, X):
 
 
 def distinct_rows(X):
-    """X's distinct rows, compared byte for byte, and each row's index among
-    them: ``rows[inverse]`` is X bit for bit.
+    """X's distinct rows, compared byte for byte and in the order of their
+    first occurrence, and each row's index among them: ``rows[inverse]`` is
+    X bit for bit.  Without repeated rows, ``rows`` is X in its own order.
 
     A tree routes and values each row on its own, so its values at X are
     its values at ``rows`` gathered by ``inverse``.  Comparing bytes rather
@@ -669,7 +693,10 @@ def distinct_rows(X):
         return X[:1], np.zeros(n, dtype=np.intp)
     keys = X.view(np.dtype((np.void, X.itemsize * width))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return X[first], inverse
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(by_first))
+    return X[first[by_first]], rank[inverse]
 
 
 def predict_distinct(ensembles, X):

@@ -276,19 +276,20 @@ def _validate(cfg: RunConfig) -> list:
         ("eval.horizon", lambda: cfg.eval.horizon >= 1, ">= 1"),
         ("boosting.rounds", lambda: cfg.boosting.rounds >= 0, ">= 0"),
         ("boosting.learning_rate", lambda: 0 < cfg.boosting.learning_rate <= 1, "in (0, 1]"),
-        ("boosting.lambda", lambda: cfg.boosting.lam >= 0, ">= 0"),
+        ("boosting.lambda", lambda: 0 <= cfg.boosting.lam < math.inf, ">= 0 and finite"),
         ("boosting.max_depth", lambda: cfg.boosting.max_depth >= 0, ">= 0"),
         ("boosting.min_leaf", lambda: cfg.boosting.min_leaf >= 1, ">= 1"),
-        ("boosting.linear_ridge", lambda: cfg.boosting.linear_ridge >= 0, ">= 0"),
+        ("boosting.linear_ridge", lambda: 0 <= cfg.boosting.linear_ridge < math.inf,
+         ">= 0 and finite"),
         ("model.m", lambda: cfg.model.m is None or cfg.model.m >= 1, ">= 1"),
         ("model.period", lambda: cfg.model.period >= 1, ">= 1"),
         ("model.n_season", lambda: cfg.model.n_season >= 0, ">= 0"),
-        ("model.penalty", lambda: cfg.model.penalty >= 0, ">= 0"),
+        ("model.penalty", lambda: 0 <= cfg.model.penalty < math.inf, ">= 0 and finite"),
         ("net.d", lambda: cfg.net.d >= 1, ">= 1"),
         ("net.k", lambda: cfg.net.k is None or cfg.net.k >= 1, ">= 1"),
         ("net.hidden", lambda: cfg.net.hidden >= 1, ">= 1"),
         ("net.dropout", lambda: 0 <= cfg.net.dropout < 1, "in [0, 1)"),
-        ("net.lr", lambda: cfg.net.lr > 0, "> 0"),
+        ("net.lr", lambda: 0 < cfg.net.lr < math.inf, "> 0 and finite"),
         ("net.betas", lambda: all(0 <= b < 1 for b in cfg.net.betas), "two numbers in [0, 1)"),
     )
     for name, in_range, must in ranges:

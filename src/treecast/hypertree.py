@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boosting import (BoostConfig, SplitMatrix, TreeEnsemble, distinct_rows, predict_distinct,
-                       tree_values)
+from .boosting import BoostConfig, SplitMatrix, TreeEnsemble, predict_distinct, tree_values
 from .data import PanelDataset, TimeSeries, feature_matrix, future_panel
 from .errors import NumericError, SchemaError
 from .targets import Objective, TargetSpec
@@ -111,7 +110,6 @@ def train(ds: PanelDataset, spec: TargetSpec, config: BoostConfig,
     recipe = recipe or FeatureRecipe()
     fs = recipe.build(ds)
     matrix = SplitMatrix(fs.X, fs.kinds)  # shared by every tree of the fit
-    rows, inverse = distinct_rows(fs.X)   # each new tree is evaluated on these
     objective = Objective(ds, spec)
     P = spec.param_count
     base = spec.target.base(ds)
@@ -127,7 +125,7 @@ def train(ds: PanelDataset, spec: TargetSpec, config: BoostConfig,
             raise NumericError(f"non-finite training loss at round {rnd}")
         for j in range(P):
             tree = ensembles[j].boost_round(matrix, g[:, j], h[:, j], counts, log.notes)
-            raw[:, j] += config.learning_rate * tree_values(tree, rows)[inverse]
+            raw[:, j] += config.learning_rate * tree_values(tree, matrix.rows)[matrix.inverse]
         loss, g, h, _ = objective.evaluate(raw)
         log.append(rnd, loss / objective.n_weight, time.perf_counter() - t0)
 

@@ -22,8 +22,8 @@ from typing import Literal, get_args
 
 import numpy as np
 
-from .boosting import (BoostConfig, SplitMatrix, TreeEnsemble, distinct_rows, floor_hessian,
-                       predict_distinct, tree_values)
+from .boosting import (BoostConfig, SplitMatrix, TreeEnsemble, floor_hessian, predict_distinct,
+                       tree_values)
 from .data import PanelDataset
 from .errors import NumericError
 from .hypertree import FeatureRecipe, HyperTreeModel, TrainLog
@@ -288,7 +288,6 @@ def train(ds: PanelDataset, spec: TargetSpec, boost_cfg: BoostConfig,
         ensembles = [TreeEnsemble(boost_cfg, base=0.0, n_features=fs.n_features)
                      for _ in range(d)]
         matrix = SplitMatrix(fs.X, fs.kinds)  # shared by every tree of the fit
-        rows, inverse = distinct_rows(fs.X)   # each new tree is evaluated on these
         E = np.zeros((ds.n_rows, d))
     else:
         feat_center = fs.X.mean(axis=0)
@@ -323,6 +322,6 @@ def train(ds: PanelDataset, spec: TargetSpec, boost_cfg: BoostConfig,
             for j in range(d):
                 tree = ensembles[j].boost_round(matrix, ge[:, j], he[:, j], counts,
                                                 log.notes)
-                E[:, j] += boost_cfg.learning_rate * tree_values(tree, rows)[inverse]
+                E[:, j] += boost_cfg.learning_rate * tree_values(tree, matrix.rows)[matrix.inverse]
         log.append(it, loss / n_w, time.perf_counter() - t0)
     return model, log

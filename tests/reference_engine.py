@@ -5,8 +5,10 @@ Each node sorts every numeric column and cumsums g, h and the count weight
 along it; each categorical column orders the node's codes by G/H and scans
 prefixes.  The tie rule is the engine's: among candidates within TIE_RTOL of
 the node's best gain, the lowest feature id wins, then the lowest threshold.
-A constant leaf sums its g and h in row order, one addition at a time, as
-the engine's bincount does, so leaf values match with float gradients too.
+A constant leaf sums its g and h as the engine's bincounts do, one
+addition at a time: each distinct feature row's values in row order, then
+those sums in the order of the rows' first occurrence (rows compared byte for
+byte), so leaf values match with float gradients too.
 Tests compare ``grow_tree``, the level-wise engine's one-tree entry, against
 it.
 
@@ -96,6 +98,16 @@ def row_order_sum(v):
     return float(np.cumsum(v)[-1]) if len(v) else 0.0
 
 
+def distinct_row_sum(X, v):
+    """Sum of ``v`` over the rows of X: each distinct row's values (rows
+    compared byte for byte) in row order, then those sums in the order of
+    each row's first occurrence."""
+    groups = {}
+    for row, x in zip(X, v):
+        groups.setdefault(row.tobytes(), []).append(x)
+    return row_order_sum([row_order_sum(vals) for vals in groups.values()])
+
+
 def numeric_candidates(v, g, h, c, lam, min_leaf):
     """[(gain, threshold)] in threshold order."""
     order = np.argsort(v, kind="stable")
@@ -170,6 +182,7 @@ def reference_grow_tree(X, kinds, g, h, idx, params, counts=None, log=None):
             if lin_fids:
                 return Leaf(b0, lin_features=lin_fids, lin_coef=coef)
             return Leaf(b0)
-        return Leaf(leaf_weight(row_order_sum(gg), row_order_sum(hh), params.lam))
+        Xn = X[node_idx]
+        return Leaf(leaf_weight(distinct_row_sum(Xn, gg), distinct_row_sum(Xn, hh), params.lam))
 
     return build(np.asarray(idx), 0, frozenset())

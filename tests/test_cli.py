@@ -869,6 +869,10 @@ class TestConfigTypes:
         (["boosting.linear_ridge=-1"], "boosting.linear_ridge: must be >= 0"),
         (["model.family=treenet", "net.betas=[1.5,-1]"], "net.betas: must be two numbers in [0, 1)"),
         (["model.family=treenet", "net.betas=[0.9,1.0]"], "net.betas: must be two numbers in [0, 1)"),
+        (["boosting.lambda=.inf"], "boosting.lambda: must be >= 0 and finite"),
+        (["boosting.linear_ridge=.inf"], "boosting.linear_ridge: must be >= 0 and finite"),
+        (["model.family=treenet", "net.lr=.inf"], "net.lr: must be > 0 and finite"),
+        (["model.target=stl", "model.penalty=.inf"], "model.penalty: must be >= 0 and finite"),
     ])
     def test_wrong_type_exit_2(self, runner, tmp_path, overrides, message):
         args = ["train", AR_CONFIG, "--set", f"data.path={tmp_path / 'missing.csv'}",

@@ -6,17 +6,21 @@ every ensemble on the distinct rows only and gather the values back, and
 both trainers add each new tree's values the same way.  The oracle is the
 row-by-row recursive evaluator ``reference_engine.reference_predict`` on
 every row of X; outputs must equal it bit for bit (NaN counted equal, the
-sign of zero counted).  The training update must give the same ensembles as
-a fit that treats every row as distinct.
+sign of zero counted).  Trees are grown on the distinct rows too
+(``SplitMatrix``), and the training update must give the same splits as a
+fit that treats every row as distinct, with leaf values and parameters
+equal up to the order in which gradients are summed.
 """
+
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treecast import boosting, hypertree, treenet
-from treecast.boosting import BoostConfig, Leaf, Split, TreeEnsemble, distinct_rows
+from treecast.boosting import BoostConfig, Leaf, NodeTable, Split, TreeEnsemble, distinct_rows
 from treecast.hypertree import FeatureRecipe, HyperTreeModel, forecast
 from treecast.targets import TargetSpec
 from treecast.treenet import Mlp, NetConfig, TreeNetModel
@@ -34,10 +38,12 @@ SPECS = (TargetSpec("ar", p=2), TargetSpec("ets", m=12))   # identity and sigmoi
 
 def assert_same(got, want):
     """Equal under ``np.array_equal`` with NaN counted equal, and with the
-    same sign on every zero."""
+    same sign on every zero.  A NaN's sign bit depends on the order of the
+    operations that made it, so it is not compared."""
     assert got.shape == want.shape
     assert np.array_equal(got, want, equal_nan=True)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
+    number = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got[number]), np.signbit(want[number]))
 
 
 def every_row_distinct(X):
@@ -141,6 +147,8 @@ class TestPredictOracle:
         assert_same(values, spec.target.link(want))
 
     @given(st.integers(0, 2**32 - 1))
+    @example(seed=1550)  # NaN parameters whose sign bit differs from the oracle's
+    @example(seed=4857)
     @settings(max_examples=100, deadline=None)
     def test_embeddings_and_treenet_parameters(self, seed):
         spec, ensembles, _, kinds, X = repeated_case(seed)
@@ -240,6 +248,25 @@ def fit(family, case):
     return model, ds, recipe
 
 
+def assert_close_trees(a, b, rtol):
+    """Two ensembles' trees: the same nodes, features, thresholds, codes and
+    linear-term features, with leaf weights and linear coefficients within
+    ``rtol`` (relative)."""
+    ta, tb = NodeTable(a.trees), NodeTable(b.trees)
+    for name in ("is_split", "feature", "threshold", "is_cat", "codes", "cat_keys",
+                 "lin_feature", "lin_ptr", "roots"):
+        assert np.array_equal(getattr(ta, name), getattr(tb, name), equal_nan=True), name
+    for name in ("value", "lin_coef"):
+        np.testing.assert_allclose(getattr(ta, name), getattr(tb, name), rtol=rtol, atol=0)
+
+
+def bound_modules(name):
+    """The treecast modules that bind ``name`` to boosting's function."""
+    value = getattr(boosting, name)
+    return [mod for key, mod in sys.modules.items()
+            if key.startswith("treecast") and getattr(mod, name, None) is value]
+
+
 @pytest.mark.parametrize("family", ["hypertree", "treenet"])
 @pytest.mark.parametrize("case", list(CASES))
 def test_training_update_matches_every_row_distinct(family, case, monkeypatch):
@@ -262,8 +289,28 @@ def test_training_update_matches_every_row_distinct(family, case, monkeypatch):
         assert 4 * n_distinct <= ds.n_rows
     if case == "linear_leaves":
         assert any("lin_features" in str(e) for e in model.to_dict()["ensembles"])
-    for mod in (boosting, hypertree, treenet):
+    for mod in bound_modules("distinct_rows"):
         monkeypatch.setattr(mod, "distinct_rows", every_row_distinct)
     plain, _, _ = fit(family, case)
-    assert model.to_dict() == plain.to_dict()
-    assert_same(model.predict_parameters(X)[0], plain.predict_parameters(X)[0])
+    # the two fits sum each node's gradients in different orders
+    for a, b in zip(model.ensembles, plain.ensembles, strict=True):
+        assert_close_trees(a, b, rtol=1e-10)
+    np.testing.assert_allclose(model.predict_parameters(X)[0], plain.predict_parameters(X)[0],
+                               rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("family", ["hypertree", "treenet"])
+def test_distinct_rows_runs_once_per_fit(family, monkeypatch):
+    """The split matrix finds the fit's distinct rows, and the training
+    update takes them from it."""
+    calls = []
+    distinct = boosting.distinct_rows
+
+    def spy(X):
+        calls.append(X.shape)
+        return distinct(X)
+
+    for mod in bound_modules("distinct_rows"):
+        monkeypatch.setattr(mod, "distinct_rows", spy)
+    _, ds, recipe = fit(family, "calendar")
+    assert calls == [recipe.build(ds).X.shape]

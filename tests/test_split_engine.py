@@ -78,6 +78,102 @@ def grow_both(X, kinds, g, h, counts, params):
     return out
 
 
+def assert_best_gains(tree, X, kinds, g, h, counts, params):
+    """Every split of ``tree`` has its node's best gain, by the exhaustive
+    search over the node's rows, up to rounding."""
+
+    def check(node, rows):
+        if isinstance(node, Leaf):
+            return
+        best = best_gain(X[rows], kinds, g[rows], h[rows], counts[rows], params.lam,
+                         params.min_leaf)
+        # the gain is a difference of terms as large as the parent's
+        # G^2/(H+lambda): summation order moves it by rounding of that size
+        G, H = g[rows].sum(), h[rows].sum()
+        scale = abs(best) + G * G / (H + params.lam)
+        assert abs(node.gain - best) <= TIE_RTOL * abs(best) + 1e-14 * scale
+        left = reference_goes_left(node, X, rows)
+        check(node.left, rows[left])
+        check(node.right, rows[~left])
+
+    check(tree, np.arange(len(g)))
+
+
+def tiled_panel(seed, integer_grads):
+    """Rows that repeat a few drawn rows, as calendar features make a panel's
+    rows repeat: the drawn rows tiled in order (one per series) or drawn
+    with replacement and shuffled.  Columns are numeric or categorical (some
+    codes with a fractional part, so two distinct rows can share a code);
+    masked rows (count 0, g = h = 0) and parameters are drawn as in
+    ``random_panel``.  Few or many repeats put a column on either side of
+    the density rule."""
+    rng = np.random.default_rng(seed)
+    n_base = int(rng.integers(1, 13))
+    n_feat = int(rng.integers(1, 5))
+    kinds = tuple(str(k) for k in rng.choice(["num", "cat"], n_feat))
+    base = np.empty((n_base, n_feat))
+    for f in range(n_feat):
+        card = int(rng.integers(1, n_base + 1))
+        if kinds[f] == "cat":
+            base[:, f] = rng.integers(0, card, n_base) + rng.choice([0.0, 0.5], n_base, p=[0.8, 0.2])
+        else:
+            base[:, f] = np.round(rng.normal(size=card), 2)[rng.integers(0, card, n_base)]
+    reps = int(rng.choice([1, 2, 3, int(rng.integers(4, 30))]))
+    if rng.random() < 0.5:
+        X = np.tile(base, (reps, 1))
+    else:
+        X = base[rng.integers(0, n_base, n_base * reps)]
+    n = len(X)
+    if integer_grads:
+        g = rng.integers(-6, 7, n).astype(np.float64)
+        h = rng.integers(1, 4, n).astype(np.float64)
+    else:
+        g = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+        h = rng.uniform(0.05, 3.0, n)
+    counts = (rng.random(n) >= rng.choice([0.0, 0.2, 0.5])).astype(np.float64)
+    g[counts == 0] = 0.0
+    h[counts == 0] = 0.0
+    params = BoostConfig(lam=float(rng.choice([0.0, 0.5, 1.0])),
+                         max_depth=int(rng.integers(0, 5)),
+                         min_leaf=int(rng.integers(1, 2 * reps + 2)),
+                         linear_leaves=bool(rng.integers(0, 2)),
+                         linear_ridge=1e-6)
+    return X, kinds, g, h, counts, params
+
+
+class TestRepeatedRows:
+    """Trees grown on the distinct rows of a panel whose rows repeat, against
+    the reference engine on every row."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_integer_gradients_give_identical_trees(self, seed):
+        new, ref = grow_both(*tiled_panel(seed, integer_grads=True))
+        if new is NumericError or ref is NumericError:
+            assert new is ref
+        else:
+            assert_same_tree(new, ref)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_float_gradients_choose_the_best_gain(self, seed):
+        panel = tiled_panel(seed, integer_grads=False)
+        new, ref = grow_both(*panel)
+        if new is NumericError or ref is NumericError:  # a leaf with H + lambda = 0
+            assert new is ref
+        else:
+            assert_best_gains(new, *panel)
+
+    def test_density_rule_counts_every_row(self):
+        # twelve distinct rows among 132: month and quarter stay grid columns
+        month = np.tile(np.arange(1.0, 13.0), 11)
+        X = np.column_stack([month, (month - 1) // 3 + 1])
+        matrix = SplitMatrix(X, ("num", "num"))
+        assert len(matrix.rows) == 12 and matrix.multiplicity.tolist() == [11.0] * 12
+        assert np.array_equal(matrix.rows[matrix.inverse], X)
+        assert list(matrix.dense) == [0, 1] and not len(matrix.sparse)
+
+
 class TestOracle:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=300, deadline=None)
@@ -93,22 +189,7 @@ class TestOracle:
     def test_float_gradients_choose_the_best_gain(self, seed):
         X, kinds, g, h, counts, params = random_panel(seed, integer_grads=False)
         tree = grow_tree(X, kinds, g, h, np.arange(len(g)), params, counts)
-
-        def check(node, rows):
-            if isinstance(node, Leaf):
-                return
-            best = best_gain(X[rows], kinds, g[rows], h[rows], counts[rows], params.lam,
-                             params.min_leaf)
-            # the gain is a difference of terms as large as the parent's
-            # G^2/(H+lambda): summation order moves it by rounding of that size
-            G, H = g[rows].sum(), h[rows].sum()
-            scale = abs(best) + G * G / (H + params.lam)
-            assert abs(node.gain - best) <= TIE_RTOL * abs(best) + 1e-14 * scale
-            left = reference_goes_left(node, X, rows)
-            check(node.left, rows[left])
-            check(node.right, rows[~left])
-
-        check(tree, np.arange(len(g)))
+        assert_best_gains(tree, X, kinds, g, h, counts, params)
 
     def test_grid_in_node_batches(self, monkeypatch):
         # a tiny cell budget scans every depth in several batches of nodes
