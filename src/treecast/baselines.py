@@ -29,10 +29,6 @@ class OlsArModel:
     coefficients: np.ndarray
     intercept: float | None
 
-    @property
-    def p(self):
-        return len(self.coefficients)
-
 
 def fit_ols_ar(series, p: int, intercept: bool = False) -> OlsArModel:
     """Least-squares AR(p) fit via SVD-based lstsq.
@@ -92,10 +88,10 @@ def classical_decompose(series, m: int):
 def grid_search_ets(ds: PanelDataset, spec: TargetSpec, horizon: int, grid=None) -> float:
     """Pick the constant smoothing value minimizing mean hold-out WAPE.
 
-    Each series of the padded panel ``ds`` holds out its last
-    min(horizon, n // 4) observed values, and a series with nothing to hold
-    out is skipped.  The start states of the shortened panel are built
-    first, and a series that has none fails the search, named.  All
+    Each series of the panel ``ds`` holds out its last min(horizon, n // 4)
+    values, and a series with nothing to hold out is skipped.  The start
+    states of the shortened panel are built first, and a series that has
+    none fails the search, named.  All
     parameters share one constant, swept over {0.1, ..., 0.9}; a candidate
     is scored by one forecast of the held-out panel, and one that trips a
     numeric guard on any series is not scored.
@@ -104,15 +100,14 @@ def grid_search_ets(ds: PanelDataset, spec: TargetSpec, horizon: int, grid=None)
     series, keep, held = [], [], []
     for i, s in enumerate(ds.series):
         rows = ds.rows_of(i)
-        on = np.flatnonzero(ds.mask[rows])
-        h = min(horizon, len(on) // 4)
+        h = min(horizon, len(rows) // 4)
         if h >= 1:
-            series.append(TimeSeries(s.series_id, tuple(s.timestamps[j] for j in on[:-h])))
-            keep.append(rows[on[:-h]])
-            held.append(ds.y[rows[on[-h:]]])
+            series.append(TimeSeries(s.series_id, s.timestamps[:-h]))
+            keep.append(rows[:-h])
+            held.append(ds.y[rows[-h:]])
     if not series:
         raise DataError("smoothing grid search: no series has the 4 observations a hold-out needs")
-    train = spec.target.prepare(ds.take(series, np.concatenate(keep)))
+    train = ds.take(series, np.concatenate(keep))
     spec.target.bind(train)  # start states: a series without one fails here, named
     if grid is None:
         grid = [round(0.1 * k, 1) for k in range(1, 10)]
@@ -178,7 +173,7 @@ class BaselineModel:
 
 
 def train_baseline(ds: PanelDataset, cfg) -> BaselineModel:
-    """Fit the configured baseline on a prepared panel."""
+    """Fit the configured baseline on a panel."""
     spec = cfg.target_spec(ds.frequency)
     if spec.kind != "ar":
         if cfg.model.grid_search:
@@ -187,9 +182,8 @@ def train_baseline(ds: PanelDataset, cfg) -> BaselineModel:
         return BaselineModel.smoothing(spec, cfg.model.fixed_value)
     per_series = {}
     for i, s in enumerate(ds.series):
-        rows = ds.rows_of(i)
         try:
-            ols = fit_ols_ar(ds.y[rows][ds.mask[rows]], spec.p, cfg.model.intercept)
+            ols = fit_ols_ar(ds.y[ds.rows_of(i)], spec.p, cfg.model.intercept)
         except DataError as exc:
             raise DataError(f"series {s.series_id!r}: {exc}") from None
         per_series[s.series_id] = {

@@ -66,11 +66,13 @@ from .errors import NumericError, SchemaError
 HESS_FLOOR = 1e-6
 
 
-def floor_hessian(h: np.ndarray, row_mask: np.ndarray) -> np.ndarray:
-    """h floored at HESS_FLOOR on the rows ``row_mask`` (N,) keeps and 0 on
-    the others, in every column of an (N,) or (N, P) ``h``."""
-    mask = row_mask if h.ndim == 1 else row_mask[:, None]
-    return np.where(mask, np.maximum(h, HESS_FLOOR), 0.0)
+def floor_hessian(h: np.ndarray, row_mask: np.ndarray | None = None) -> np.ndarray:
+    """h floored at HESS_FLOOR in every column of an (N,) or (N, P) ``h``;
+    given ``row_mask`` (N,), on the rows it keeps only, and 0 on the others."""
+    floored = np.maximum(h, HESS_FLOOR)
+    if row_mask is None:
+        return floored
+    return np.where(row_mask if h.ndim == 1 else row_mask[:, None], floored, 0.0)
 
 
 def leaf_weight(G: float, H: float, lam: float) -> float:

@@ -20,7 +20,7 @@ from .config import SCHEMA, RunConfig, config_from_dict, load_config
 from .data import PanelDataset, attach_summary, future_panel, ingest_csv
 from .datasets import bundled_path, synthetic_panel
 from .errors import ConfigError, DataError, NumericError, SchemaError
-from .metrics import aggregate, series_metrics
+from .metrics import METRIC_NAMES, aggregate, series_metrics
 from .targets import TargetSpec
 
 PARAMETER_HEADER = ("series_id", "timestamp", "parameter_name", "value", "phase")
@@ -64,7 +64,7 @@ def prepare_dataset(cfg: RunConfig, path: str | None = None,
     ds = ingest_csv(data_path, cfg.data.schema(), code_maps=code_maps)
     if cfg.features.summary:
         ds = attach_summary(ds)
-    return cfg.target_spec(ds.frequency).target.prepare(ds)
+    return ds
 
 
 def _config_echo(cfg: RunConfig) -> dict:
@@ -188,7 +188,7 @@ def cmd_evaluate(forecast_path, actuals_path, reference_path, out, dataset,
         per_series[sid] = series_metrics(y, f, r)
     mean_row = aggregate(per_series)
 
-    names = ["MAPE", "sMAPE", "WAPE", "RMSE", "MAE"] + (["MASE"] if ref is not None else [])
+    names = list(METRIC_NAMES) + (["MASE"] if ref is not None else [])
     header = ("dataset", "model", "series_id") + tuple(names) + ("runtime_minutes",)
     rows = []
     for sid in sorted(per_series):

@@ -2,10 +2,11 @@
 
 A :class:`PanelDataset` keeps one row per observation, sorted by
 (series_id, timestamp), with flat numpy arrays for the target, calendar
-features, categorical codes and the padding mask.  What a target derives
-from the rows, such as the autoregressive lag design, the target builds
-itself.  Every panel is made by :meth:`PanelDataset.build`, and every panel
-derived from another (padded, shortened or future rows) by one row gather,
+features and categorical codes; series may differ in length, and every row
+is observed.  What a target derives from the rows, such as the
+autoregressive lag design or the smoothing kinds' (T, S) grid, the target
+builds itself.  Every panel is made by :meth:`PanelDataset.build`, and every
+panel derived from another (shortened or future rows) by one row gather,
 :meth:`PanelDataset.take`.
 :func:`read_sorted_rows` reads and checks a CSV whole columns at a time, for
 :func:`ingest_csv` and for the value files that ``treecast evaluate`` scores,
@@ -51,10 +52,8 @@ class TimeSeries:
 class PanelDataset:
     """Aligned panel of series with per-observation feature rows.
 
-    Rows of one series are contiguous, in the order of ``series``.  ``mask``
-    is False exactly on rows appended by :func:`pad_for_ets`; masked rows
-    never contribute to any loss, gradient or metric.  A series' true end,
-    where its forecasts start, is therefore its last unmasked row.
+    Rows of one series are contiguous, in the order of ``series``, one per
+    timestamp; a series ends, and its forecasts start, at its last row.
 
     Build a panel with :meth:`build`; derive one from another with
     :meth:`take`.
@@ -63,7 +62,6 @@ class PanelDataset:
     series: tuple
     series_idx: np.ndarray          # (N,) int, position into `series`
     y: np.ndarray                   # (N,) float
-    mask: np.ndarray                # (N,) bool, False = padded
     frequency: str
     month: np.ndarray | None = None
     quarter: np.ndarray | None = None
@@ -75,12 +73,12 @@ class PanelDataset:
     code_maps: dict = field(default_factory=dict)
 
     @classmethod
-    def build(cls, series, y, frequency: str, mask=None, cat=None, num=None,
+    def build(cls, series, y, frequency: str, cat=None, num=None,
               code_maps=None) -> "PanelDataset":
         """Panel over ``series`` whose rows hold ``y`` series after series.
 
-        Derives ``series_idx`` from the series lengths, coerces the dtypes,
-        defaults ``mask`` to all true and attaches the calendar features.
+        Derives ``series_idx`` from the series lengths, coerces the dtypes
+        and attaches the calendar features.
         """
         y = np.asarray(y, dtype=np.float64)
         ds = cls(
@@ -88,7 +86,6 @@ class PanelDataset:
             series_idx=np.repeat(np.arange(len(series), dtype=np.int64),
                                  [len(s) for s in series]),
             y=y,
-            mask=np.ones(len(y), dtype=bool) if mask is None else np.asarray(mask, dtype=bool),
             frequency=frequency,
             cat={c: np.asarray(v, dtype=np.int64) for c, v in (cat or {}).items()},
             num={c: np.asarray(v, dtype=np.float64) for c, v in (num or {}).items()},
@@ -96,17 +93,16 @@ class PanelDataset:
         )
         return derive_calendar(ds)
 
-    def take(self, series, rows, y=None, mask=None) -> "PanelDataset":
+    def take(self, series, rows, y=None) -> "PanelDataset":
         """Panel over ``series`` whose row j copies the cells of row ``rows[j]``.
 
-        ``y`` and ``mask`` are gathered from ``rows`` too unless given;
-        calendar features are derived afresh from the new timestamps.
+        ``y`` is gathered from ``rows`` too unless given; calendar features
+        are derived afresh from the new timestamps.
         """
         return PanelDataset.build(
             series,
             self.y[rows] if y is None else y,
             self.frequency,
-            mask=self.mask[rows] if mask is None else mask,
             cat={c: v[rows] for c, v in self.cat.items()},
             num={c: v[rows] for c, v in self.num.items()},
             code_maps=self.code_maps,
@@ -354,31 +350,6 @@ def extend_timestamps(last: date, frequency: str, h: int) -> list:
     return out
 
 
-def pad_for_ets(ds: PanelDataset) -> PanelDataset:
-    """Equalize series lengths by back-appending each series' own tail.
-
-    A series short of the maximum length by k rows gets a copy of its last
-    min(k, len) values appended (tiled if necessary).  Appended rows are
-    masked, inherit the covariates of the series' last row, and an
-    ``is_pad`` numeric feature marks them.  Calendar features are
-    recomputed for the new rows.
-    """
-    max_len = max(len(s) for s in ds.series)
-    series, y_rows, cov_rows, appended = [], [], [], []
-    for i, s in enumerate(ds.series):
-        rows = ds.rows_of(i)
-        n, k = len(rows), max_len - len(rows)
-        series.append(TimeSeries(
-            s.series_id, s.timestamps + tuple(extend_timestamps(s.timestamps[-1], ds.frequency, k))))
-        y_rows.append(np.concatenate([rows, np.resize(rows[n - min(k, n):], k)]))
-        cov_rows.append(rows[np.minimum(np.arange(max_len), n - 1)])
-        appended.append(np.arange(max_len) >= n)
-    cov_rows, appended = np.concatenate(cov_rows), np.concatenate(appended)
-    out = ds.take(series, cov_rows, y=ds.y[np.concatenate(y_rows)],
-                  mask=ds.mask[cov_rows] & ~appended)
-    return replace(out, num={**out.num, "is_pad": appended.astype(np.float64)})
-
-
 def _acf1(x: np.ndarray) -> float:
     x = np.asarray(x, dtype=np.float64)
     if len(x) < 2:
@@ -414,7 +385,7 @@ def seasonal_period(frequency: str) -> int:
 
 
 def summarize_series(ds: PanelDataset) -> dict:
-    """Five per-series summary statistics, from the unmasked rows only.
+    """Five per-series summary statistics.
 
     Returns {series_id: {name: value}}; use :func:`attach_summary` to
     broadcast them onto the feature rows.
@@ -422,8 +393,7 @@ def summarize_series(ds: PanelDataset) -> dict:
     m = seasonal_period(ds.frequency)
     out = {}
     for i, s in enumerate(ds.series):
-        rows = ds.rows_of(i)
-        vals = ds.y[rows][ds.mask[rows]]
+        vals = ds.y[ds.rows_of(i)]
         if len(vals) < 2:
             raise DataError(f"series {s.series_id!r} too short to summarize")
         trend_strength, seas_strength = _strengths(vals, m)
@@ -440,37 +410,33 @@ def summarize_series(ds: PanelDataset) -> dict:
 def attach_summary(ds: PanelDataset) -> PanelDataset:
     """Broadcast summary statistics to the rows of each series."""
     stats = summarize_series(ds)
-    num = dict(ds.num)
-    for name in SUMMARY_NAMES:
-        col = np.empty(ds.n_rows)
-        for i, s in enumerate(ds.series):
-            col[ds.rows_of(i)] = stats[s.series_id][name]
-        num[name] = col
-    return replace(ds, num=num)
+    table = np.array([[stats[s.series_id][name] for name in SUMMARY_NAMES] for s in ds.series])
+    at_rows = table.T[:, ds.series_idx]  # (5, N): one gather for every statistic
+    return replace(ds, num={**ds.num, **dict(zip(SUMMARY_NAMES, at_rows))})
 
 
 def future_panel(ds: PanelDataset, h: int) -> PanelDataset:
-    """Feature rows for the h periods following each series' true end.
+    """Feature rows for the h periods following each series' last row.
 
-    The true end is the series' last unmasked row.  Timestamps continue
-    from it, time_index keeps counting, and categorical/numeric covariates
-    carry over from it (is_pad resets to 0).  Target values are placeholders.
+    Timestamps continue from the last stamp, time_index keeps counting, and
+    categorical/numeric covariates carry over from the last row.  Target
+    values are placeholders.  A stamp past the calendar's end (year 9999)
+    is a data error naming the series and its last stamp.
     """
     if h < 1:
         raise ValueError("horizon must be >= 1")
-    series, src, tindex = [], [], []
-    for i, s in enumerate(ds.series):
-        rows = ds.rows_of(i)
-        end = np.flatnonzero(ds.mask[rows])[-1]
-        series.append(TimeSeries(
-            s.series_id, tuple(extend_timestamps(s.timestamps[end], ds.frequency, h))))
-        src.append(np.full(h, rows[end]))
-        tindex.append(np.arange(end + 1, end + 1 + h))
-    src = np.concatenate(src)
-    out = ds.take(series, src, y=np.zeros(len(src)))
-    if "is_pad" in out.num:
-        out = replace(out, num={**out.num, "is_pad": np.zeros(len(src))})
-    return replace(out, time_index=np.concatenate(tindex))
+    series = []
+    for s in ds.series:
+        last = s.timestamps[-1]
+        try:
+            stamps = extend_timestamps(last, ds.frequency, h)
+        except (ValueError, OverflowError):
+            raise DataError(f"series {s.series_id!r}: a horizon of {h} from its last stamp "
+                            f"{last.isoformat()} runs past the year 9999") from None
+        series.append(TimeSeries(s.series_id, tuple(stamps)))
+    lengths = np.array([len(s) for s in ds.series])
+    out = ds.take(series, np.repeat(np.cumsum(lengths) - 1, h), y=np.zeros(len(series) * h))
+    return replace(out, time_index=(lengths[:, None] + np.arange(h)).ravel())
 
 
 @dataclass(frozen=True)

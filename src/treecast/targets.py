@@ -7,15 +7,13 @@ preparation reach a kind only through its class.  A kind supplies
 - ``param_names``, one per raw parameter column; ``link(raw)`` into the
   parameter domain, its elementwise ``slope``, and ``base(ds)``, the raw
   start every ensemble boosts from;
-- ``prepare(ds)``, its own data preparation (the smoothing kinds pad the
-  panel; the others take it as it is), and ``time_feature``, whether the
-  trees also see the raw time index;
+- ``time_feature``, whether the trees also see the raw time index;
 - ``bind(ds)`` -> (training weight, ``state`` reused by every loss); the
-  autoregressive kind builds its lag design here, from the panel's rows;
+  autoregressive kind builds its lag design here, from the panel's rows,
+  and the smoothing kinds lay the rows on their (T, S) grid;
 - ``loss(raw, ds, state)`` -> (loss, g, h, fitted) over the whole panel,
-  g and h masked and h floored;
-- ``fitted_jacobian(ds, weight, state)`` when the fit is row-local, else
-  None;
+  g and h zero off the training weight and h floored on it;
+- ``fitted_jacobian(ds, state)`` when the fit is row-local, else None;
 - ``forecast_state(model, ds)`` once per panel, from the model's
   ``parameters(ds)`` where the kind needs them, then ``forecast(values, ds,
   t_future, state)`` -> (S, h) forecasts of every series from the (S, h, P)
@@ -36,12 +34,13 @@ Smoothing*, 2008) in reverse mode (Griewank & Walther, *Evaluating
 Derivatives*, 2008): one forward pass over t records the states, and one
 backward pass carries the adjoint lambda and the d x d Gauss-Newton
 matrix W (d = 2 + m) from which every step's gradient and Hessian
-diagonal follow.  Both passes run over every series of the padded panel at
-once, on one (T, S) grid, so a series costs O(T m) rather than the
-O(T^2 P) of forward sensitivities; see ``_ets_adjoint``.  A smoothing
-state has one form, start and end alike: the array triple level (S,),
-trend (S,) and ring (S, m), which ``ets_init`` builds for every series at
-once and ``_ets_end_states`` gathers after the forward pass.
+diagonal follow.  Both passes run over every series of the panel at once,
+on one (T, S) grid whose cells past a series' end are masked, so a series
+costs O(T m) rather than the O(T^2 P) of forward sensitivities; see
+``_ets_adjoint``.  A smoothing state has one form, start and end alike:
+the array triple level (S,), trend (S,) and ring (S, m), which
+``ets_init`` builds for every series at once and ``_ets_end_states``
+gathers after the forward pass.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ from typing import Literal, get_args
 import numpy as np
 
 from .boosting import floor_hessian
-from .data import pad_for_ets
 from .errors import DataError, NumericError
 
 SIG_EPS = 1e-6     # keeps smoothing parameters strictly inside their domain
@@ -143,13 +141,13 @@ def ar_design(y: np.ndarray, series_idx: np.ndarray, p: int):
 def ar_histories(ds, p: int) -> np.ndarray:
     """(S, p): the last p observed values of every series, the seeds of an
     AR(p) forecast; a shorter series is a data error naming the first."""
-    counts = np.bincount(ds.series_idx[ds.mask], minlength=ds.n_series)
+    counts = np.bincount(ds.series_idx, minlength=ds.n_series)
     short = np.flatnonzero(counts < p)
     if short.size:
         i = short[0]
         raise DataError(f"series {ds.series[i].series_id!r}: an AR({p}) forecast needs "
                         f"{p} observed values, got {counts[i]}")
-    return ds.y[ds.mask][np.cumsum(counts)[:, None] - p + np.arange(p)]
+    return ds.y[np.cumsum(counts)[:, None] - p + np.arange(p)]
 
 
 def ar_forecast(theta: np.ndarray, history: np.ndarray, intercept=0.0) -> np.ndarray:
@@ -465,44 +463,35 @@ def _diff_penalty(x, same1, same2):
     return val, grad, hess
 
 
-def _stl_loss(raw, t, y, spec: TargetSpec, mask, series_idx):
+def _stl_loss(raw, t, y, spec: TargetSpec, series_idx):
     """Squared error plus smoothness penalty over a panel whose row r belongs
     to series ``series_idx[r]``.
 
     The penalty weighs squared first and second differences of the
-    intercept and slope sequences along time, over each series' unmasked
-    rows; a difference that would cross a series boundary counts zero.
+    intercept and slope sequences along time, within each series; a
+    difference that would cross a series boundary counts zero.
     Returns (loss, g, h, fitted).
     """
-    w = mask.astype(np.float64)
     B = stl_basis(spec, t)
     fitted = np.einsum("np,np->n", raw, B)
-    loss = float(np.sum(w * (fitted - y) ** 2))
-    g = 2.0 * (w * (fitted - y))[:, None] * B
-    h = 2.0 * w[:, None] * B * B
+    r = fitted - y
+    loss = float(np.sum(r ** 2))
+    g = 2.0 * r[:, None] * B
+    h = 2.0 * B * B
     if spec.penalty > 0:
-        sel = np.nonzero(mask)[0]
-        sid = series_idx[sel]
-        same1 = sid[1:] == sid[:-1]
+        same1 = series_idx[1:] == series_idx[:-1]
         same2 = same1[1:] & same1[:-1]
         for col in (0, 1):
-            pv, pg, ph = _diff_penalty(raw[sel, col], same1, same2)
+            pv, pg, ph = _diff_penalty(raw[:, col], same1, same2)
             loss += spec.penalty * pv
-            g[sel, col] += spec.penalty * pg
-            h[sel, col] += spec.penalty * ph
-    fitted = np.where(mask, fitted, 0.0)
+            g[:, col] += spec.penalty * pg
+            h[:, col] += spec.penalty * ph
     return loss, g, h, fitted
 
 
 # --------------------------------------------------------------------------
 # one class per target kind
 # --------------------------------------------------------------------------
-
-def _masked_floored(weight, loss, g, h, fitted):
-    """g and h zero off the training weight, h floored at HESS_FLOOR on it."""
-    g = np.where(weight[:, None], g, 0.0)
-    return loss, g, floor_hessian(h, weight), fitted
-
 
 class Target:
     """The protocol (see the module docstring), with the identity-link
@@ -522,13 +511,10 @@ class Target:
     def base(self, ds) -> np.ndarray:
         return np.zeros(len(self.param_names))
 
-    def prepare(self, ds):
-        return ds
-
     def bind(self, ds):
-        return ds.mask.copy(), None
+        return np.ones(ds.n_rows, dtype=bool), None
 
-    def fitted_jacobian(self, ds, weight, state):
+    def fitted_jacobian(self, ds, state):
         return None
 
     def forecast_state(self, model, ds):
@@ -544,16 +530,15 @@ class ArTarget(Target):
         return tuple(f"ar_{j}" for j in range(1, self.spec.p + 1))
 
     def design(self, ds):
-        """(training weight, (N, P) regressors): the unmasked rows with p
-        lags of their own series, and those lags (see ``ar_design``).  A
-        series of at most p rows has no such row, and is warned about."""
+        """(training weight, (N, P) regressors): the rows with p lags of
+        their own series, and those lags (see ``ar_design``).  A series of
+        at most p rows has no such row, and is warned about."""
         p = self.spec.p
         for s in ds.series:
             if len(s) < p + 1:
                 warnings.warn(f"series {s.series_id!r} has {len(s)} rows, fewer than "
                               f"p+1={p + 1}; excluded from lag training")
-        valid, X = ar_design(ds.y, ds.series_idx, p)
-        return valid & ds.mask, X
+        return ar_design(ds.y, ds.series_idx, p)
 
     def bind(self, ds):
         weight, X = self.design(ds)
@@ -570,7 +555,7 @@ class ArTarget(Target):
         g = (2.0 * r)[:, None] * X
         return float(np.dot(r, r)), g, h, fitted
 
-    def fitted_jacobian(self, ds, weight, state):
+    def fitted_jacobian(self, ds, state):
         return state[0]
 
     def forecast_state(self, model, ds):
@@ -583,7 +568,9 @@ class ArTarget(Target):
 class SmoothingTarget(Target):
     """Damped-trend smoothing with multiplicative seasonality; its state
     couples the rows of a series, so there is no row-local Jacobian.  The
-    whole padded panel is filtered and differentiated at once."""
+    whole panel is filtered and differentiated at once, on a (T, S) grid
+    that ``bind`` lays out: T is the longest series, and the cells past a
+    shorter series' end are masked."""
 
     seasonal = True
 
@@ -614,9 +601,6 @@ class SmoothingTarget(Target):
         s = (0.3 - SIG_EPS) / self._scale
         return np.array([math.log(x / (1.0 - x)) for x in s])
 
-    def prepare(self, ds):
-        return pad_for_ets(ds)
-
     def columns(self, values):
         """(alpha, beta, gamma, phi) columns; the linear variant fixes gamma=0, phi=1."""
         if self.seasonal:
@@ -631,34 +615,38 @@ class SmoothingTarget(Target):
         if np.any((phi <= 0) | (phi > 1)):
             raise NumericError("damping factor must lie in (0, 1]")
 
-    @staticmethod
-    def grid(ds, x):
-        """A row array (N, ...) of the padded panel, whose series share one
-        length, as a (T, S, ...) view: [t, i] is step t of series i."""
-        return x.reshape(ds.n_series, -1, *x.shape[1:]).swapaxes(0, 1)
-
     def bind(self, ds):
-        """The grid's y and mask and every series' start state."""
-        if len({len(s) for s in ds.series}) > 1:
-            raise ValueError("smoothing needs series of equal length (pad_for_ets)")
-        y, mask = self.grid(ds, ds.y).copy(), self.grid(ds, ds.mask).copy()
+        """Every row's weight, and the grid: its layout, y and mask, and
+        every series' start state.
+
+        The layout is two index arrays for ``np.take``: ``cells`` (T, S)
+        holds each cell's row (a cell past a series' end takes the series'
+        last row, and is masked) and ``rows`` (N,) each row's flat cell.
+        """
+        lengths = np.bincount(ds.series_idx, minlength=ds.n_series)
+        starts = np.cumsum(lengths) - lengths
+        step = np.arange(lengths.max())[:, None]
+        cells = starts + np.minimum(step, lengths - 1)
+        rows = (np.arange(ds.n_rows) - starts[ds.series_idx]) * ds.n_series + ds.series_idx
+        y, mask = np.take(ds.y, cells), step < lengths
         ids = [s.series_id for s in ds.series]
-        return ds.mask.copy(), (y, mask, ets_init(y, mask, self.spec.m, self.seasonal, ids), ids)
+        start = ets_init(y, mask, self.spec.m, self.seasonal, ids)
+        return np.ones(ds.n_rows, dtype=bool), (cells, rows, y, mask, start, ids)
 
     def loss(self, raw, ds, state):
-        y, mask, start, ids = state
-        values, slope = self.link_slope(self.grid(ds, raw))
+        cells, rows, y, mask, start, ids = state
+        values, slope = self.link_slope(np.take(raw, cells, axis=0))
         level, trend, _, v, s = _ets_forward(self, y, values, mask, start, ids)
         loss, g, h, fitted = _ets_adjoint(self, y, mask, values, slope, level, trend, v, s)
         P = raw.shape[1]
-        g, h = g.swapaxes(0, 1).reshape(-1, P), h.swapaxes(0, 1).reshape(-1, P)
-        return _masked_floored(ds.mask, loss, g, h, fitted.T.ravel())
+        g, h = np.take(g.reshape(-1, P), rows, axis=0), np.take(h.reshape(-1, P), rows, axis=0)
+        return loss, g, floor_hessian(h), np.take(fitted, rows)
 
     def forecast_state(self, model, ds):
         # one forward pass over the training rows reaches every series' end state
-        values = model.parameters(ds)
-        y, mask, start, ids = self.bind(ds)[1]
-        level, trend, ring, _, _ = _ets_forward(self, y, self.grid(ds, values), mask, start, ids)
+        cells, _, y, mask, start, ids = self.bind(ds)[1]
+        values = np.take(model.parameters(ds), cells, axis=0)
+        level, trend, ring, _, _ = _ets_forward(self, y, values, mask, start, ids)
         return _ets_end_states(self, mask, level, trend, ring)
 
     def forecast(self, values, ds, t_future, ends):
@@ -701,15 +689,15 @@ class StlTarget(Target):
 
     def base(self, ds):
         base = np.zeros(len(self.param_names))
-        base[0] = float(np.mean(ds.y[ds.mask]))
+        base[0] = float(np.mean(ds.y))
         return base
 
     def loss(self, raw, ds, state):
-        out = _stl_loss(raw, ds.time_index, ds.y, self.spec, ds.mask, ds.series_idx)
-        return _masked_floored(ds.mask, *out)
+        loss, g, h, fitted = _stl_loss(raw, ds.time_index, ds.y, self.spec, ds.series_idx)
+        return loss, g, floor_hessian(h), fitted
 
-    def fitted_jacobian(self, ds, weight, state):
-        return stl_basis(self.spec, ds.time_index) * weight[:, None]
+    def fitted_jacobian(self, ds, state):
+        return stl_basis(self.spec, ds.time_index)
 
     def forecast(self, values, ds, t_future, state):
         S, h, P = values.shape
@@ -723,10 +711,10 @@ class DirectTarget(ArTarget):
     param_names = ("output",)
 
     def design(self, ds):
-        return ds.mask.copy(), np.ones((ds.n_rows, 1))
+        return np.ones(ds.n_rows, dtype=bool), np.ones((ds.n_rows, 1))
 
     def base(self, ds):
-        return np.array([float(np.mean(ds.y[ds.mask]))])
+        return np.array([float(np.mean(ds.y))])
 
     def forecast_state(self, model, ds):
         return None
@@ -745,7 +733,7 @@ KINDS = {
 
 
 # --------------------------------------------------------------------------
-# objective adapter: binds a prepared dataset to a target spec
+# objective adapter: binds a panel to a target spec
 # --------------------------------------------------------------------------
 
 class Objective:
@@ -764,7 +752,7 @@ class Objective:
         self.weight, self._state = self.target.bind(ds)
         self.n_weight = int(self.weight.sum())
         if self.n_weight == 0:
-            raise NumericError("no unmasked training rows: loss is empty")
+            raise NumericError("no training rows: loss is empty")
 
     def evaluate(self, raw: np.ndarray):
         return self.target.loss(raw, self.ds, self._state)
@@ -775,4 +763,4 @@ class Objective:
         Used for Gauss-Newton transport of curvature onto embeddings.
         Returns None for the smoothing recursions (state couples rows).
         """
-        return self.target.fitted_jacobian(self.ds, self.weight, self._state)
+        return self.target.fitted_jacobian(self.ds, self._state)

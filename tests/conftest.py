@@ -1,3 +1,4 @@
+from dataclasses import fields
 from datetime import date
 
 import numpy as np
@@ -5,13 +6,13 @@ import pytest
 
 from treecast.data import PanelDataset, TimeSeries, extend_timestamps, ingest_csv
 from treecast.datasets import bundled_path
-from treecast.errors import DataError
+from treecast.errors import DataError, NumericError
 from treecast.hypertree import BoostConfig, FeatureRecipe
 from treecast.hypertree import train as train_hypertree
 from treecast.targets import (TargetSpec, _ets_adjoint, _ets_end_states, _ets_forward, _stl_loss,
                               ar_forecast)
 
-from reference_ets import EtsState
+from reference_ets import EtsState, reference_filter, series_inits
 from reference_forecast import ar_forecast_recursive
 
 
@@ -28,13 +29,11 @@ def make_panel(series_values, frequency="monthly", start=date(2000, 1, 1), cat=N
 def drop_last(ds: PanelDataset, h: int) -> PanelDataset:
     """Remove the trailing h rows of every series (hold-out construction).
 
-    Only valid before padding; calendar features are re-derived for the
-    shortened panel.  h = 0 returns the panel unchanged.
+    Calendar features are re-derived for the shortened panel.  h = 0
+    returns the panel unchanged.
     """
     if h < 0:
         raise ValueError(f"drop_last needs h >= 0, got {h}")
-    if not ds.mask.all():
-        raise ValueError("drop_last expects an unpadded panel")
     if h == 0:
         return ds
     series, keep = [], []
@@ -45,6 +44,44 @@ def drop_last(ds: PanelDataset, h: int) -> PanelDataset:
         series.append(TimeSeries(s.series_id, s.timestamps[:-h]))
         keep.append(rows[:-h])
     return ds.take(series, np.concatenate(keep))
+
+
+class ReferenceView(PanelDataset):
+    """A panel as the reference loops read it: they take a ``mask`` that
+    flags the observed rows, and every row of a panel is observed."""
+
+    @property
+    def mask(self):
+        return np.ones(self.n_rows, dtype=bool)
+
+
+def reference_view(ds: PanelDataset) -> ReferenceView:
+    return ReferenceView(**{f.name: getattr(ds, f.name) for f in fields(ds)})
+
+
+def guard_step(exc: NumericError) -> int:
+    """The step a positivity-guard error names."""
+    return int(str(exc).split("at step ")[1].split()[0])
+
+
+def smoothing_end_states(spec, ds, values):
+    """Every series' end ``EtsState`` from the single-series reference loops,
+    each series filtered alone on its own rows under the (N, P) linked
+    ``values``.  A failure is the one the panel kernels report: a start
+    state's at the lowest series, else the guard's at the earliest step,
+    then the lowest series."""
+    inits = series_inits(reference_view(ds), spec.m, spec.target.seasonal)
+    ends, faults = [], []
+    for i, (s, init) in enumerate(zip(ds.series, inits)):
+        rows = ds.rows_of(i)
+        try:
+            ends.append(reference_filter(ds.y[rows], values[rows], spec, init,
+                                         series_id=s.series_id)[1])
+        except NumericError as exc:
+            faults.append((guard_step(exc), i, exc))
+    if faults:
+        raise min(faults, key=lambda f: f[:2])[2]
+    return ends
 
 
 def one_series_grid(y, mask, init):
@@ -87,14 +124,13 @@ def ets_sse(y, raw, spec, init):
     return float(np.sum((fitted - y) ** 2))
 
 
-def stl_loss_grad(raw, t, y, spec, mask=None):
+def stl_loss_grad(raw, t, y, spec):
     """The trend + Fourier loss of one series: the one-series call of the
     panel loss the STL target runs (see ``targets._stl_loss``).
     Returns (loss, g, h, fitted).
     """
     y = np.asarray(y, dtype=np.float64)
-    mask = np.ones(len(y), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    return _stl_loss(np.asarray(raw, dtype=np.float64), t, y, spec, mask,
+    return _stl_loss(np.asarray(raw, dtype=np.float64), t, y, spec,
                      np.zeros(len(y), dtype=np.int64))
 
 

@@ -1,8 +1,7 @@
 """The AR target's lag design against the loops it replaced
-(``reference_lags``), on random panels with short series and masked rows."""
+(``reference_lags``), on random panels with short series."""
 
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,16 +18,13 @@ from reference_lags import build_lags, ols_ar_design
 
 @st.composite
 def cases(draw):
-    """(panel of 1-4 series of 1-30 rows with a few rows masked, p in 1..6)."""
+    """(panel of 1-4 series of 1-30 rows, p in 1..6)."""
     lengths = draw(st.lists(st.integers(1, 30), min_size=1, max_size=4))
     n = sum(lengths)
     y = draw(st.lists(st.floats(-100.0, 100.0, allow_nan=False), min_size=n, max_size=n))
     bounds = np.cumsum([0] + lengths)
     ds = make_panel({f"s{i}": y[a:b] for i, (a, b) in enumerate(zip(bounds, bounds[1:]))})
-    masked = draw(st.lists(st.integers(0, n - 1), max_size=3))
-    mask = np.ones(n, dtype=bool)
-    mask[masked] = False
-    return replace(ds, mask=mask), draw(st.integers(1, 6))
+    return ds, draw(st.integers(1, 6))
 
 
 def recorded(fn, *args):
@@ -46,7 +42,7 @@ def test_design_matches_reference(case, intercept):
     target = TargetSpec("ar", p=p).target
     (lags, lag_valid), want_warnings = recorded(build_lags, ds, p)
     (weight, _), got_warnings = recorded(target.design, ds)
-    assert np.array_equal(weight, lag_valid & ds.mask)
+    assert np.array_equal(weight, lag_valid)
     assert got_warnings == want_warnings
 
     (bound_weight, (X, _, _)), _ = recorded(target.bind, ds)

@@ -5,7 +5,6 @@ from treecast.baselines import (BaselineModel, classical_decompose, fit_ols_ar,
                                 forecast_baseline, grid_search_ets, train_baseline)
 from treecast.cli import prepare_dataset
 from treecast.config import config_from_dict
-from treecast.data import pad_for_ets
 from treecast.errors import DataError, NumericError
 from treecast.metrics import wape
 from treecast.targets import TargetSpec
@@ -27,15 +26,14 @@ def replay(y, value, kind, m, h, damping="power"):
 
 
 def baseline_panel(**model):
-    """The bundled unequal-length panel, prepared for a baseline config."""
+    """The bundled unequal-length panel, read for a baseline config."""
     cfg = config_from_dict({"data": {"path": "bundled:panel_seasonal_b.csv"},
                             "model": {"family": "baseline", "m": 12, **model}})
     return cfg, prepare_dataset(cfg)
 
 
 def observed(ds, i):
-    rows = ds.rows_of(i)
-    return ds.y[rows][ds.mask[rows]]
+    return ds.y[ds.rows_of(i)]
 
 
 class TestOlsAr:
@@ -121,7 +119,7 @@ class TestClassicalDecompose:
 
 class TestFixedEts:
     def test_matches_target_code_path(self, air_full):
-        ds = pad_for_ets(drop_last(air_full, 84))
+        ds = drop_last(air_full, 84)
         y = observed(ds, 0)
         assert len(y) == 60
         model = BaselineModel.smoothing(TargetSpec("ets", m=12), 0.3)
@@ -141,7 +139,7 @@ class TestFixedEts:
         t = np.arange(72)
         y = 100 + t + 20 * np.sin(2 * np.pi * t / 12)
         spec = TargetSpec("ets", m=12)
-        best = grid_search_ets(spec.target.prepare(make_panel({"a": y})), spec, horizon=12)
+        best = grid_search_ets(make_panel({"a": y}), spec, horizon=12)
         scores = {}
         for c in GRID:
             try:
@@ -171,8 +169,10 @@ class TestFixedEts:
 class TestBaselineForecast:
     @pytest.mark.parametrize("kind", ["ets", "ets_linear"])
     def test_smoothing_matches_replay_on_padded_panel(self, kind):
+        """Unequal lengths: the grid's cells past a shorter series' end pad
+        it, and the series forecasts as it does alone."""
         cfg, ds = baseline_panel(target=kind, fixed_value=0.3)
-        assert not ds.mask.all()  # unequal lengths: the shorter series are padded
+        assert len({len(s) for s in ds.series}) > 1
         model = train_baseline(ds, cfg)
         fc, _ = forecast_baseline(model, ds, 12)
         for i, s in enumerate(ds.series):

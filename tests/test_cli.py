@@ -17,6 +17,7 @@ from treecast.errors import ConfigError
 from treecast.hypertree import TrainLog
 
 import reference_forecast
+from conftest import reference_view
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
 
@@ -616,6 +617,25 @@ class TestExport:
         res = runner.invoke(main, ["export", "--bundle", str(out), "--what", "embeddings"])
         assert res.exit_code == 2
 
+    def test_ragged_smoothing_panel_writes_each_key_once(self, runner, tmp_path):
+        """Every parameter row of the unequal-length smoothing panel is a
+        real row: 180 training rows and 3 x 12 forecast rows, 4 parameters
+        each, and no (series, timestamp, parameter) key twice."""
+        config = Path(__file__).resolve().parent.parent / "configs/panel_ets.yaml"
+        bundle, exp = tmp_path / "b", tmp_path / "params.csv"
+        res = runner.invoke(main, ["train", str(config), "--set", "boosting.rounds=2",
+                                   "--out", str(bundle)])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(main, ["export", "--bundle", str(bundle), "--what", "parameters",
+                                   "--out", str(exp)])
+        assert res.exit_code == 0, res.output
+        rows = [line.split(",") for line in exp.read_text().splitlines()[1:]]
+        keys = [tuple(row[:3]) for row in rows]
+        assert len(set(keys)) == len(keys)
+        phases = [row[4] for row in rows]
+        assert phases.count("train") == 180 * 4
+        assert phases.count("forecast") == 3 * 12 * 4
+
     @pytest.mark.parametrize("horizon", ["0", "-3"])
     def test_horizon_below_one_exit_2(self, runner, tmp_path, trained_bundle, horizon):
         exp = tmp_path / "params.csv"
@@ -912,6 +932,41 @@ class TestShortHistory:
                 in res.output)
 
 
+class TestFarFuture:
+    """A forecast stamp past the year 9999 exits 3 naming the series and its
+    last stamp, without a traceback or an output file."""
+
+    @pytest.mark.parametrize("command", ["forecast", "export"])
+    def test_huge_horizon_exit_3(self, runner, tmp_path, trained_bundle, command):
+        out = tmp_path / "out.csv"
+        what = ["--what", "parameters"] if command == "export" else []
+        res = runner.invoke(main, [command, "--bundle", str(trained_bundle), *what,
+                                   "--horizon", "100000", "--out", str(out)])
+        assert res.exit_code == 3, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert ("series 'AirPassengers': a horizon of 100000 from its last stamp 1960-12-01 "
+                "runs past the year 9999") in res.output
+        assert not out.exists()
+
+    def test_last_stamp_in_year_9999_exit_3(self, runner, tmp_path):
+        rows = ["series_id,timestamp,value"] + [
+            f"a,{9998 + t // 12}-{t % 12 + 1:02d}-01,{10 + np.sin(t)}" for t in range(24)]
+        data = tmp_path / "late.csv"
+        data.write_text("\n".join(rows) + "\n")
+        cfg = base_config(tmp_path, **{"data.path": str(data), "model.p": 2,
+                                       "boosting.rounds": 2})
+        bundle, out = tmp_path / "b", tmp_path / "fc.csv"
+        res = runner.invoke(main, ["train", cfg, "--out", str(bundle)])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(main, ["forecast", "--bundle", str(bundle), "--horizon", "1",
+                                   "--out", str(out)])
+        assert res.exit_code == 3, res.output
+        assert isinstance(res.exception, SystemExit)
+        assert ("series 'a': a horizon of 1 from its last stamp 9999-12-01 runs past the "
+                "year 9999") in res.output
+        assert not out.exists()
+
+
 def write_yearly(tmp_path, series):
     """Yearly CSV from {series_id: (stamps, values)}."""
     rows = ["series_id,timestamp,value"] + [
@@ -977,7 +1032,7 @@ class TestLagWarning:
 
         model, manifest, code_maps = bundle_io.load_bundle(bundle)
         ds = prepare_dataset(config_from_dict(manifest["config"]), code_maps=code_maps)
-        want = reference_forecast.forecast(model, ds, 12)
+        want = reference_forecast.forecast(model, reference_view(ds), 12)
         rows = [line.split(",") for line in fc.read_text().splitlines()[1:]]
         assert [(sid, ts) for sid, ts, _ in rows] == [
             (sid, ts.isoformat()) for sid, (_, stamps) in want.items() for ts in stamps]

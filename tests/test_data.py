@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from treecast.baselines import classical_decompose
-from treecast.data import (RESERVED_CODE, attach_summary, derive_calendar, future_panel,
-                           ingest_csv, pad_for_ets, summarize_series)
+from treecast.data import (RESERVED_CODE, PanelDataset, TimeSeries, attach_summary,
+                           derive_calendar, future_panel, ingest_csv, summarize_series)
 from treecast.datasets import synthetic_panel
 from treecast.errors import DataError
-from treecast.targets import Objective, TargetSpec
+from treecast.targets import TargetSpec
 
 from conftest import drop_last, make_panel
 
@@ -168,52 +168,6 @@ class TestLags:
                     assert lags[rows[t], j - 1] == vals[t - j]
 
 
-class TestPadding:
-    def test_tail_copy(self):
-        ds = pad_for_ets(make_panel({"a": np.arange(10.0) + 1, "b": np.arange(12.0) + 1}))
-        assert all(len(s) == 12 for s in ds.series)
-        a_rows = ds.rows_of(0)
-        assert list(ds.y[a_rows][-2:]) == [9.0, 10.0]  # copies of rows 8-9
-        assert not ds.mask[a_rows[-2:]].any()
-        assert ds.num["is_pad"][a_rows[-2:]].all()
-
-    def test_equal_lengths_noop_except_flag(self):
-        base = make_panel({"a": np.arange(6.0) + 1, "b": np.arange(6.0) + 6})
-        ds = pad_for_ets(base)
-        assert np.array_equal(ds.y, base.y)
-        assert ds.mask.all()
-        assert not ds.num["is_pad"].any()
-
-    def test_masked_count(self):
-        lens = {"a": 10, "b": 12, "c": 7}
-        ds = pad_for_ets(make_panel({k: np.arange(float(v)) + 1 for k, v in lens.items()}))
-        assert int((~ds.mask).sum()) == sum(12 - v for v in lens.values())
-
-    def test_mask_exclusion_perturbation(self):
-        """Changing padded values must not move the loss or any gradient."""
-        base = make_panel({
-            "a": 50 + 10 * np.sin(np.arange(30) / 3) + np.arange(30),
-            "b": 40 + 8 * np.cos(np.arange(24) / 3) + np.arange(24.0),
-        })
-        ds = pad_for_ets(base)
-        spec = TargetSpec(kind="ets", m=12)
-        rng = np.random.default_rng(0)
-        raw = rng.normal(0, 0.5, (ds.n_rows, 4))
-        obj = Objective(ds, spec)
-        loss1, g1, h1, _ = obj.evaluate(raw)
-
-        import dataclasses
-
-        y2 = ds.y.copy()
-        y2[~ds.mask] = 777.0
-        ds2 = dataclasses.replace(ds, y=y2)
-        obj2 = Objective(ds2, spec)
-        loss2, g2, h2, _ = obj2.evaluate(raw)
-        assert loss1 == loss2
-        assert np.array_equal(g1, g2)
-        assert np.array_equal(h1, h2)
-
-
 class TestSummary:
     def test_constant_series_conventions(self):
         stats = summarize_series(make_panel({"a": np.ones(30)}))["a"]
@@ -267,11 +221,25 @@ class TestDropLast:
 
 class TestFuturePanel:
     def test_continues_from_true_end(self):
-        base = make_panel({"a": np.arange(10.0) + 1, "b": np.arange(12.0) + 1})
-        padded = pad_for_ets(base)
-        fut = future_panel(padded, 3)
-        # series "a" truly ends at month 10 (2000-10-01); forecasts start next month
+        ds = make_panel({"a": np.arange(10.0) + 1, "b": np.arange(12.0) + 1})
+        fut = future_panel(ds, 3)
+        # series "a" ends at month 10 (2000-10-01); forecasts start next month
         assert fut.series[0].timestamps[0] == date(2000, 11, 1)
         assert fut.series[1].timestamps[0] == date(2001, 1, 1)
         assert list(fut.time_index[fut.rows_of(0)]) == [10, 11, 12]
-        assert not fut.num["is_pad"].any()
+        assert list(fut.time_index[fut.rows_of(1)]) == [12, 13, 14]
+
+    @pytest.mark.parametrize("frequency, last, h", [("daily", date(9999, 12, 29), 3),
+                                                    ("monthly", date(9999, 11, 1), 2),
+                                                    ("yearly", date(9999, 3, 1), 1)])
+    def test_past_year_9999_is_data_error(self, frequency, last, h):
+        """The first series whose stamps would leave the calendar is named,
+        with its last stamp; one step fewer still fits."""
+        series = [TimeSeries("a", (date(2000, 1, 1),)), TimeSeries("b", (last,)),
+                  TimeSeries("c", (last,))]
+        ds = PanelDataset.build(series, np.ones(3), frequency)
+        if h > 1:
+            assert future_panel(ds, h - 1).n_rows == 3 * (h - 1)
+        with pytest.raises(DataError, match=rf"^series 'b': a horizon of {h} from its last "
+                                            rf"stamp {last.isoformat()} runs past the year 9999$"):
+            future_panel(ds, h)

@@ -217,8 +217,7 @@ def seasonal(n, level, seed):
 
 def panel(covariate=False, unequal=False):
     """Three monthly series sharing their calendar rows; optionally a numeric
-    covariate of a few repeated values, or unequal lengths (padded by the
-    smoothing target)."""
+    covariate of a few repeated values, or unequal lengths."""
     lengths = (48, 36, 30) if unequal else (48, 48, 48)
     values = {s: seasonal(n, 40 + 10 * i, i) for i, (s, n) in enumerate(zip("abc", lengths))}
     num = None
@@ -230,7 +229,7 @@ def panel(covariate=False, unequal=False):
 CASES = {
     "calendar": dict(),
     "covariate": dict(covariate=True),
-    "padded": dict(unequal=True, kind="ets"),
+    "ragged": dict(unequal=True, kind="ets"),
     "linear_leaves": dict(covariate=True, linear=True),
 }
 
@@ -238,7 +237,7 @@ CASES = {
 def fit(family, case):
     opts = CASES[case]
     spec = TargetSpec(opts.get("kind", "ar"), p=2)
-    ds = spec.target.prepare(panel(opts.get("covariate", False), opts.get("unequal", False)))
+    ds = panel(opts.get("covariate", False), opts.get("unequal", False))
     cfg = BoostConfig(rounds=4, max_depth=3, min_leaf=3, linear_leaves=opts.get("linear", False))
     recipe = FeatureRecipe(calendar=("month", "quarter"))
     if family == "hypertree":
@@ -285,7 +284,7 @@ def test_training_update_matches_every_row_distinct(family, case, monkeypatch):
     n_distinct = len(distinct_rows(X)[0])
     # each new tree is evaluated on the fit's distinct rows
     assert shapes and set(shapes) == {n_distinct}
-    if case in ("calendar", "padded"):   # month and quarter (and is_pad) repeat
+    if case in ("calendar", "ragged"):   # month and quarter repeat
         assert 4 * n_distinct <= ds.n_rows
     if case == "linear_leaves":
         assert any("lin_features" in str(e) for e in model.to_dict()["ensembles"])

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treecast.baselines import BaselineModel, forecast_baseline
+from treecast.data import future_panel
 from treecast.errors import DataError, NumericError
 from treecast.hypertree import forecast
-from treecast.targets import KINDS, TargetSpec, ar_forecast
+from treecast.targets import KINDS, PHI, TargetSpec, ar_forecast
 
 import reference_forecast as ref
-from conftest import make_panel
+from conftest import make_panel, reference_view, smoothing_end_states
 from reference_ets import EtsState
 
 # panels with series shorter than p + 1 are drawn on purpose
@@ -48,8 +49,8 @@ def draw_spec(draw, kind):
 
 @st.composite
 def panels(draw, kinds=tuple(KINDS)):
-    """A prepared panel of 1-4 positive series of unequal length (padded for
-    the smoothing kinds; possibly shorter than p for AR), a horizon and a seed."""
+    """A panel of 1-4 positive series of unequal length (possibly shorter
+    than p for AR), a horizon and a seed."""
     spec = draw_spec(draw, draw(st.sampled_from(kinds)))
     lengths = draw(st.lists(st.integers(1, 30), min_size=1, max_size=4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -57,7 +58,7 @@ def panels(draw, kinds=tuple(KINDS)):
         f"s{i}": 20 + 5 * np.sin(np.arange(n)) + rng.uniform(0, 3, n)
         for i, n in enumerate(lengths)
     })
-    return spec, spec.target.prepare(panel), draw(st.integers(1, 13)), draw(st.integers(0, 99))
+    return spec, panel, draw(st.integers(1, 13)), draw(st.integers(0, 99))
 
 
 def outcome(fn):
@@ -86,10 +87,30 @@ def assert_same(ds, h, got, want):
         assert list(s.timestamps) == stamps
 
 
+def reference(model, ds, h, average):
+    """The per-series reference forecasts.  A smoothing series' end state
+    comes from that series filtered alone (``smoothing_end_states``), and
+    its forecast from ``ref.ets_forecast``."""
+    spec = model.spec
+    if spec.kind not in ("ets", "ets_linear"):
+        return ref.forecast(model, reference_view(ds), h, average=average)
+    fut = future_panel(ds, h)
+    values_f = model.parameters(fut)
+    ends = smoothing_end_states(spec, ds, model.parameters(ds))
+    out = {}
+    for i, s in enumerate(ds.series):
+        vals_f = values_f[fut.rows_of(i)]
+        if average:
+            vals_f = ref.average_parameters(vals_f)
+        phi = vals_f[:, PHI] if spec.target.seasonal else np.ones(h)
+        out[s.series_id] = (ref.ets_forecast(ends[i], phi, h, spec), list(fut.series[i].timestamps))
+    return out
+
+
 def check_kind(spec, ds, h, seed, average):
     model = DrawnParameters(spec, seed)
     got = outcome(lambda: forecast(model, ds, h, average=average))
-    assert_same(ds, h, got, outcome(lambda: ref.forecast(model, ds, h, average=average)))
+    assert_same(ds, h, got, outcome(lambda: reference(model, ds, h, average)))
 
 
 def check_ar_baseline(spec, ds, h, seed, intercept):
@@ -99,7 +120,7 @@ def check_ar_baseline(spec, ds, h, seed, intercept):
                   for s in ds.series}
     model = BaselineModel(spec, intercept, per_series, None)
     got = outcome(lambda: forecast_baseline(model, ds, h))
-    assert_same(ds, h, got, outcome(lambda: ref.forecast_baseline(model, ds, h)))
+    assert_same(ds, h, got, outcome(lambda: ref.forecast_baseline(model, reference_view(ds), h)))
 
 
 @pytest.mark.parametrize("kind", list(KINDS))
@@ -120,7 +141,7 @@ def test_ar_baseline_matches_reference(case, intercept):
 @pytest.mark.parametrize("average", [False, True])
 def test_one_series_one_step(kind, average):
     spec = TargetSpec(kind, p=3, m=4)
-    ds = spec.target.prepare(make_panel({"a": 20 + np.arange(10.0)}))
+    ds = make_panel({"a": 20 + np.arange(10.0)})
     check_kind(spec, ds, 1, 5, average)
     if kind == "ar":
         for intercept in (False, True):
@@ -129,7 +150,7 @@ def test_one_series_one_step(kind, average):
 
 def test_short_series_names_first_in_series_order():
     spec = TargetSpec("ar", p=4)
-    ds = spec.target.prepare(make_panel({"a": np.ones(6), "b": np.ones(2), "c": np.ones(3)}))
+    ds = make_panel({"a": np.ones(6), "b": np.ones(2), "c": np.ones(3)})
     msg = "series 'b': an AR(4) forecast needs 4 observed values, got 2"
     with pytest.raises(DataError) as err:
         forecast(DrawnParameters(spec, 0), ds, 3)

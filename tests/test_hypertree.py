@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from treecast.boosting import TreeEnsemble
-from treecast.data import pad_for_ets
 from treecast.errors import NumericError
 from treecast.hypertree import (BoostConfig, FeatureRecipe, HyperTreeModel,
                                 average_parameters, forecast, train)
@@ -23,20 +22,20 @@ class TestTraining:
         assert log.rows == []
 
     def test_zero_rounds_ets_base_is_point_three(self):
-        ds = pad_for_ets(make_panel({"a": 50 + np.arange(30.0)}))
+        ds = make_panel({"a": 50 + np.arange(30.0)})
         spec = TargetSpec(kind="ets", m=12)
         model, _ = train(ds, spec, BoostConfig(rounds=0), FeatureRecipe(calendar=("month",)))
         fs = FeatureRecipe(calendar=("month",)).build(ds)
         _, values = model.predict_parameters(fs.X)
         assert np.allclose(values, 0.3, atol=1e-9)
 
+    @pytest.mark.filterwarnings("ignore:series .* excluded from lag training")
     def test_all_masked_is_empty_loss_error(self):
-        import dataclasses
-
-        ds = make_panel({"a": np.arange(10.0) + 1})
-        ds = dataclasses.replace(ds, mask=np.zeros(ds.n_rows, dtype=bool))
+        """Every series has at most p rows, so no row has p lags and the
+        AR training weight is empty."""
+        ds = make_panel({"a": np.arange(3.0) + 1, "b": np.arange(2.0) + 1})
         with pytest.raises(NumericError, match="empty"):
-            train(ds, TargetSpec(kind="ar", p=2), BoostConfig(rounds=1), FeatureRecipe())
+            train(ds, TargetSpec(kind="ar", p=3), BoostConfig(rounds=1), FeatureRecipe())
 
     def test_loss_logged_per_round(self, air_ar_model):
         _, log = air_ar_model
@@ -147,7 +146,7 @@ class TestForecast:
     def test_ets_forecast_path(self):
         t = np.arange(48)
         y = 100 + 2 * t + 15 * np.sin(2 * np.pi * t / 12)
-        ds = pad_for_ets(make_panel({"a": y}))
+        ds = make_panel({"a": y})
         spec = TargetSpec(kind="ets", m=12)
         model, _ = train(ds, spec, BoostConfig(rounds=30), FeatureRecipe(calendar=("month",)))
         (fc,), _ = forecast(model, ds, 6)
@@ -158,7 +157,7 @@ class TestForecast:
         # trend-only smoothing on a drifting series; any-sign data allowed
         rng = np.random.default_rng(6)
         y = -20 + 1.5 * np.arange(40) + rng.normal(0, 0.5, 40)
-        ds = pad_for_ets(make_panel({"a": y}, frequency="yearly"))
+        ds = make_panel({"a": y}, frequency="yearly")
         spec = TargetSpec(kind="ets_linear", m=1)
         model, log = train(ds, spec, BoostConfig(rounds=50), FeatureRecipe(calendar=("year",)))
         assert log.rows[-1][1] < log.rows[0][1]

@@ -146,11 +146,9 @@ class TestTraining:
 
     def test_smoothing_target_through_embeddings(self):
         # state-coupled target: curvature is transported per parameter
-        from treecast.data import pad_for_ets
-
         t = np.arange(36)
         y = 100 + 2 * t + 10 * np.sin(2 * np.pi * t / 12)
-        ds = pad_for_ets(make_panel({"a": y}))
+        ds = make_panel({"a": y})
         spec = TargetSpec(kind="ets", m=12)
         model, log = train(ds, spec, BoostConfig(rounds=20), NetConfig(), seed=4)
         assert np.isfinite([r[1] for r in log.rows]).all()
