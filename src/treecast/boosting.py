@@ -7,8 +7,9 @@ maximize the standard proportional gain
     GL^2/(HL+lam) + GR^2/(HR+lam) - (GL+GR)^2/(HL+HR+lam)
 
 with exact (non-histogram) enumeration: numeric candidates are midpoints of
-adjacent distinct values present in the node, categorical candidates are
-prefix groupings of the node's codes ordered by G/H.
+adjacent distinct values present in the node (the upper value where the
+midpoint would not part them), categorical candidates are prefix groupings
+of the node's codes ordered by G/H.
 
 Everything that depends on X alone (its distinct rows, categorical codes,
 each column's sort order and ranks, the bincount keys) is a SplitMatrix,
@@ -47,8 +48,9 @@ _GRID_CELLS (tree, row) cells, adding the trees' values in tree order.
 A tree's value at a row depends on that row alone, so trees are evaluated
 once per distinct feature row (``distinct_rows``, comparing rows byte for
 byte) and the values gathered back to every row: in forecasting
-(``predict_distinct``) and in the training update after each new tree,
-which takes the distinct rows from the fit's SplitMatrix.
+(``predict_distinct``) and in training, where a ``Booster`` owns one fit's
+SplitMatrix, its ensembles and their outputs at the matrix's distinct rows,
+and adds each new tree's values there.
 Calendar features repeat: every series of a panel shares the same months,
 so a 40-series monthly panel has 12 distinct rows among 4800 when its
 features are month and quarter.
@@ -318,8 +320,8 @@ class _LevelGrower:
         """Totals (G, H, C, rows) of each node and, when ``scan``, the splits.
 
         Node ``n_nodes - 1`` holds the rows of finished leaves and never
-        splits.  The splits come as arrays: (node ids, features, thresholds,
-        gains, rank tables), or None.
+        splits.  The splits come as arrays: (node ids, features, the values
+        either side of each numeric cut, gains, rank tables), or None.
         """
         mx = self.mx
         layout = None
@@ -459,9 +461,10 @@ class _LevelGrower:
         return (sn + a,) + found
 
     def choose(self, scan: _Scan, flat, cat_order, sn, cutoff, n_nodes):
-        """(features, thresholds, gains, rank tables) of one scan's choice at
-        nodes ``sn``; the feature is past the last where no candidate of the
-        scan reaches the cutoff."""
+        """(features, values either side of the cut, gains, rank tables) of
+        one scan's choice at nodes ``sn``; the feature is past the last where
+        no candidate of the scan reaches the cutoff.  A table sends the ranks
+        up to the cut left."""
         mx = self.mx
         cells, slot_ranks = scan.cells, scan.slot_ranks
         covered = True
@@ -480,14 +483,14 @@ class _LevelGrower:
             hi = ((cells[sn, 3, j] > 0) & (np.arange(width) > r[:, None])).argmax(axis=1)
         else:
             lo, hi = slot_ranks[sn, j, r], slot_ranks[sn, j, np.minimum(r + 1, width - 1)]
-        thr = 0.5 * (mx.values[f, lo] + mx.values[f, hi])
-        tables = mx.values[f] < thr[:, None]
+        tables = np.arange(mx.values.shape[1]) <= lo[:, None]
         chosen = (gain >= cutoff) & covered
         if cat_order is not None:
             for q in (mx.is_cat[f] & chosen).nonzero()[0]:
                 tables[q] = False
                 tables[q, cat_order[sn[q], j[q], :r[q] + 1]] = True
-        return np.where(chosen, f, len(mx.n_uniq)), thr, gain, tables
+        return (np.where(chosen, f, len(mx.n_uniq)), mx.values[f, lo], mx.values[f, hi], gain,
+                tables)
 
     def grid_gains(self, cells, T, cat):
         """Candidate gains of every cell of a scan, -inf where a cell is no
@@ -523,19 +526,25 @@ class _LevelGrower:
         ok = np.minimum(sides[0, :, 2:], sides[1, :, 2:]) >= self.floors
         return np.where(ok[:, 0] & ok[:, 1], gains, -np.inf), cat_order
 
-    def make_splits(self, ids, feat, thr, gain, tables):
+    def make_splits(self, ids, feat, lo_values, hi_values, gain, tables):
+        """Each split's node.  A numeric threshold is the midpoint of the
+        values either side of the cut, or the upper value where the midpoint
+        would not part them: it rounds to the lower of two adjacent floats,
+        or the sum overflows."""
         mx = self.mx
         splits = {}
-        for t, (i, f, th, gn) in enumerate(zip(ids.tolist(), feat.tolist(), thr.tolist(),
-                                               gain.tolist())):
+        for t, (i, f, lo, hi, gn) in enumerate(zip(ids.tolist(), feat.tolist(),
+                                                    lo_values.tolist(), hi_values.tolist(),
+                                                    gain.tolist())):
             if mx.is_cat[f]:
                 codes = frozenset(int(c) for c in mx.values[f, tables[t].nonzero()[0]])
                 splits[i] = Split(f, "cat", None, codes, None, None, gn)
             else:
-                splits[i] = Split(f, "num", th, None, None, None, gn)
+                mid = 0.5 * (lo + hi)
+                splits[i] = Split(f, "num", mid if lo < mid <= hi else hi, None, None, None, gn)
         return splits
 
-    def route(self, node, k, ids, feat, thr, gain, tables):
+    def route(self, node, k, ids, feat, lo_values, hi_values, gain, tables):
         """Node ids of the next depth: the i-th split's children are 2i and 2i+1.
 
         Rows of finished leaves go to the last node, 2 * len(ids).
@@ -779,8 +788,36 @@ class TreeEnsemble:
         params = BoostConfig(rounds=len(d["trees"]),
                              **{attr: d[key] for key, attr in _TREE_SETTINGS})
         ens = cls(params, base=d["base"], n_features=d["n_features"])
-        ens.trees = [_node_from_dict(t) for t in d["trees"]]
+        ens.trees = [_node_from_dict(t, ens.n_features) for t in d["trees"]]
         return ens
+
+
+class Booster:
+    """The tree half of one fit: its SplitMatrix, one ensemble per entry of
+    ``start`` (E,), the count weights (which rows count toward min_leaf)
+    and the training outputs F, (U, E) at the matrix's distinct rows.
+
+    F starts at ``start``, and each round adds learning_rate times each
+    new tree's values at the distinct rows, so ``outputs()`` at every row
+    is ``start`` plus the trees' values added in round order.
+    """
+
+    def __init__(self, fs, params: BoostConfig, weight, start):
+        self.matrix = SplitMatrix(fs.X, fs.kinds)  # shared by every tree of the fit
+        self.ensembles = [TreeEnsemble(params, n_features=fs.n_features) for _ in start]
+        self.counts = weight.astype(np.float64)
+        self.learning_rate = params.learning_rate
+        self.F = np.tile(np.asarray(start, dtype=np.float64), (len(self.matrix.rows), 1))
+
+    def round(self, g, h, notes=None):
+        """Grow one tree per ensemble j on (g[:, j], h[:, j]) and add it to F."""
+        for j, ens in enumerate(self.ensembles):
+            tree = ens.boost_round(self.matrix, g[:, j], h[:, j], self.counts, notes)
+            self.F[:, j] += self.learning_rate * tree_values(tree, self.matrix.rows)
+
+    def outputs(self):
+        """(N, E) training outputs at every row of the fit."""
+        return self.F[self.matrix.inverse]
 
 
 def _node_to_dict(node):
@@ -805,20 +842,32 @@ def _node_to_dict(node):
     return d
 
 
-def _node_from_dict(d):
+def _node_from_dict(d, n_features):
+    """The node of ``d``; a feature id outside [0, n_features), or a linear
+    leaf whose coefficients and features differ in number, raises
+    ValueError."""
     if d["type"] == "leaf":
         if "lin_features" in d:
+            lin_features, lin_coef = tuple(d["lin_features"]), tuple(d["lin_coef"])
+            if not all(0 <= f < n_features for f in lin_features):
+                raise ValueError(f"linear leaf on features {list(lin_features)}, "
+                                 f"but n_features is {n_features}")
+            if len(lin_coef) != len(lin_features):
+                raise ValueError(f"linear leaf with {len(lin_features)} features "
+                                 f"and {len(lin_coef)} coefficients")
             # files written before linear leaves stored their value once
             # carry it in "intercept" as well, the key the evaluator read
-            return Leaf(d.get("intercept", d["weight"]), tuple(d["lin_features"]),
-                        tuple(d["lin_coef"]))
+            return Leaf(d.get("intercept", d["weight"]), lin_features, lin_coef)
         return Leaf(d["weight"])
+    feature = d["feature"]
+    if not 0 <= feature < n_features:
+        raise ValueError(f"split on feature {feature}, but n_features is {n_features}")
     return Split(
-        d["feature"],
+        feature,
         d["kind"],
         d.get("threshold"),
         frozenset(d["codes"]) if d["kind"] == "cat" else None,
-        _node_from_dict(d["left"]),
-        _node_from_dict(d["right"]),
+        _node_from_dict(d["left"], n_features),
+        _node_from_dict(d["right"], n_features),
         d["gain"],
     )

@@ -2,20 +2,20 @@
 
 Each round evaluates the target model once, takes the per-parameter
 gradients/Hessians of the loss with respect to the raw parameters, and
-grows one tree per parameter against that shared start-of-round state
-(synchronous updates).  Prediction for parameter j is
-base_raw[j] + ensembles[j](x), chained through the link.
+grows one tree per parameter on them in one ``boosting.Booster`` round
+(synchronous updates); the booster starts at base_raw, so its outputs are
+the raw parameters base_raw[j] + ensembles[j](x), chained through the link.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
-from .boosting import BoostConfig, SplitMatrix, TreeEnsemble, predict_distinct, tree_values
+from .boosting import BoostConfig, Booster, TreeEnsemble, predict_distinct
 from .data import PanelDataset, TimeSeries, feature_matrix, future_panel
 from .errors import NumericError, SchemaError
 from .targets import Objective, TargetSpec
@@ -43,9 +43,10 @@ class FeatureRecipe:
 class TrainLog:
     rows: list = field(default_factory=list)  # (round, mean_loss, seconds)
     notes: list = field(default_factory=list)
+    start: float = field(default_factory=perf_counter, init=False)  # the round clock starts here
 
-    def append(self, rnd, loss, seconds):
-        self.rows.append((rnd, loss, seconds))
+    def append(self, rnd, loss):
+        self.rows.append((rnd, loss, perf_counter() - self.start))
 
 
 class HyperTreeModel:
@@ -94,7 +95,7 @@ class HyperTreeModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "HyperTreeModel":
-        return cls(
+        model = cls(
             TargetSpec.from_dict(d["spec"]),
             [TreeEnsemble.from_dict(e) for e in d["ensembles"]],
             np.asarray(d["base_raw"], dtype=np.float64),
@@ -102,6 +103,29 @@ class HyperTreeModel:
             d["feature_names"],
             d["feature_kinds"],
         )
+        P = model.spec.param_count
+        check_ensembles(model.ensembles, P, model.feature_names)
+        check_shape("base_raw", model.base_raw, (P,))
+        return model
+
+
+def check_ensembles(ensembles, count, feature_names):
+    """A decoded model's ensembles agree with the rest of it: ``count`` of
+    them, each on the features ``feature_names`` lists; else ValueError."""
+    if len(ensembles) != count:
+        raise ValueError(f"ensemble_files lists {len(ensembles)} ensembles, "
+                         f"the model implies {count}")
+    for j, ens in enumerate(ensembles):
+        if ens.n_features != len(feature_names):
+            raise ValueError(f"ensemble {j} has n_features {ens.n_features}, "
+                             f"feature_names lists {len(feature_names)}")
+
+
+def check_shape(name, value, shape):
+    """ValueError unless array ``value`` has ``shape`` (None: it is None)."""
+    got = None if value is None else np.shape(value)
+    if got != shape:
+        raise ValueError(f"{name} has shape {got}, the model implies {shape}")
 
 
 def train(ds: PanelDataset, spec: TargetSpec, config: BoostConfig,
@@ -109,27 +133,20 @@ def train(ds: PanelDataset, spec: TargetSpec, config: BoostConfig,
     """Fit one ensemble per parameter by Newton boosting on the target loss."""
     recipe = recipe or FeatureRecipe()
     fs = recipe.build(ds)
-    matrix = SplitMatrix(fs.X, fs.kinds)  # shared by every tree of the fit
     objective = Objective(ds, spec)
-    P = spec.param_count
     base = spec.target.base(ds)
-    ensembles = [TreeEnsemble(config, base=0.0, n_features=fs.n_features) for _ in range(P)]
-    raw = np.tile(base, (ds.n_rows, 1))
-    counts = objective.weight.astype(np.float64)
+    booster = Booster(fs, config, objective.weight, base)
     log = TrainLog()
 
-    t0 = time.perf_counter()
-    loss, g, h, _ = objective.evaluate(raw)
+    loss, g, h, _ = objective.evaluate(booster.outputs())
     for rnd in range(1, config.rounds + 1):
         if not math.isfinite(loss):
             raise NumericError(f"non-finite training loss at round {rnd}")
-        for j in range(P):
-            tree = ensembles[j].boost_round(matrix, g[:, j], h[:, j], counts, log.notes)
-            raw[:, j] += config.learning_rate * tree_values(tree, matrix.rows)[matrix.inverse]
-        loss, g, h, _ = objective.evaluate(raw)
-        log.append(rnd, loss / objective.n_weight, time.perf_counter() - t0)
+        booster.round(g, h, log.notes)
+        loss, g, h, _ = objective.evaluate(booster.outputs())
+        log.append(rnd, loss / objective.n_weight)
 
-    model = HyperTreeModel(spec, ensembles, base, recipe, fs.names, fs.kinds)
+    model = HyperTreeModel(spec, booster.ensembles, base, recipe, fs.names, fs.kinds)
     return model, log
 
 

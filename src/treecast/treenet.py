@@ -9,24 +9,22 @@ joint and full-batch (no batching); one round body serves both gradient
 flows: a training-mode forward pass and the network gradient, then
 "separate" (default) takes the network step and recomputes the loss in eval
 mode, while "shared" keeps the training-mode pass and its dropout mask for
-both updates.  The tree step grows one tree per embedding dimension on the
-loss gradients with respect to the embeddings of the last forward pass.
+both updates.  The tree step is one ``boosting.Booster`` round on the loss
+gradients with respect to the embeddings, which are the booster's outputs.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import asdict, dataclass
 from typing import Literal, get_args
 
 import numpy as np
 
-from .boosting import (BoostConfig, SplitMatrix, TreeEnsemble, floor_hessian, predict_distinct,
-                       tree_values)
+from .boosting import BoostConfig, Booster, TreeEnsemble, floor_hessian, predict_distinct
 from .data import PanelDataset
 from .errors import NumericError
-from .hypertree import FeatureRecipe, HyperTreeModel, TrainLog
+from .hypertree import FeatureRecipe, HyperTreeModel, TrainLog, check_ensembles, check_shape
 from .targets import Objective, TargetSpec
 
 
@@ -52,6 +50,12 @@ class NetConfig:
         for name, allowed in (("flow", Flow), ("encoder", Encoder)):
             if getattr(self, name) not in get_args(allowed):
                 raise ValueError(f"unknown {name} {getattr(self, name)!r}")
+
+    def dims(self, n_params, n_features):
+        """(d, k): the embedding width (the feature count under the features
+        encoder) and the width of the network's input."""
+        d = self.d if self.encoder == "trees" else n_features
+        return d, (self.k or n_params) if self.use_projection else d
 
 
 class Mlp:
@@ -209,7 +213,7 @@ class TreeNetModel:
         net_cfg = NetConfig(**d["net"])
         mlp = Mlp(1, 1, 1, np.random.default_rng(0))
         mlp.load_weights(d["mlp"])
-        return cls(
+        model = cls(
             spec,
             [TreeEnsemble.from_dict(e) for e in d["ensembles"]],
             None if d["projection"] is None else np.asarray(d["projection"], dtype=np.float64),
@@ -222,6 +226,17 @@ class TreeNetModel:
             None if d["feat_center"] is None else np.asarray(d["feat_center"]),
             None if d["feat_scale"] is None else np.asarray(d["feat_scale"]),
         )
+        P, hidden = spec.param_count, net_cfg.hidden
+        d_emb, k = net_cfg.dims(P, len(model.feature_names))
+        trees = net_cfg.encoder == "trees"
+        check_ensembles(model.ensembles, d_emb if trees else 0, model.feature_names)
+        check_shape("projection", model.projection, (k, d_emb) if net_cfg.use_projection else None)
+        for name, shape in (("W1", (k, hidden)), ("b1", (hidden,)), ("W2", (hidden, P)),
+                            ("b2", (P,))):
+            check_shape(f"mlp.{name}", getattr(mlp, name), shape)
+        for name in ("feat_center", "feat_scale"):
+            check_shape(name, getattr(model, name), None if trees else (d_emb,))
+        return model
 
 
 def embedding_grad_hess(model: TreeNetModel, objective: Objective, cache,
@@ -269,10 +284,7 @@ def train(ds: PanelDataset, spec: TargetSpec, boost_cfg: BoostConfig,
     P = spec.param_count
     trees = net_cfg.encoder == "trees"
     separate = net_cfg.flow == "separate"
-    d = net_cfg.d if trees else fs.n_features
-    k = net_cfg.k or P
-    if not net_cfg.use_projection:
-        k = d
+    d, k = net_cfg.dims(P, fs.n_features)
 
     root = np.random.SeedSequence(seed)
     ss_proj, ss_mlp, ss_drop = root.spawn(3)
@@ -282,24 +294,19 @@ def train(ds: PanelDataset, spec: TargetSpec, boost_cfg: BoostConfig,
     mlp = Mlp(k, net_cfg.hidden, P, np.random.default_rng(ss_mlp))
     drop_rng = np.random.default_rng(ss_drop)
 
-    ensembles = []
     feat_center = feat_scale = None
     if trees:
-        ensembles = [TreeEnsemble(boost_cfg, base=0.0, n_features=fs.n_features)
-                     for _ in range(d)]
-        matrix = SplitMatrix(fs.X, fs.kinds)  # shared by every tree of the fit
-        E = np.zeros((ds.n_rows, d))
+        booster = Booster(fs, boost_cfg, objective.weight, np.zeros(d))
+        E = booster.outputs()
     else:
         feat_center = fs.X.mean(axis=0)
         feat_scale = np.where(fs.X.std(axis=0) > 0, fs.X.std(axis=0), 1.0)
         E = (fs.X - feat_center) / feat_scale
 
-    model = TreeNetModel(spec, ensembles, projection, mlp, net_cfg, recipe,
-                         fs.names, fs.kinds, seed, feat_center, feat_scale)
-    counts = objective.weight.astype(np.float64)
+    model = TreeNetModel(spec, booster.ensembles if trees else [], projection, mlp, net_cfg,
+                         recipe, fs.names, fs.kinds, seed, feat_center, feat_scale)
     n_w = objective.n_weight
     log = TrainLog()
-    t0 = time.perf_counter()
 
     for it in range(1, boost_cfg.rounds + 1):
         z = model.project(E)
@@ -319,9 +326,7 @@ def train(ds: PanelDataset, spec: TargetSpec, boost_cfg: BoostConfig,
         if not separate:
             mlp.adam_step(grads, net_cfg.lr, net_cfg.betas)
         if trees:
-            for j in range(d):
-                tree = ensembles[j].boost_round(matrix, ge[:, j], he[:, j], counts,
-                                                log.notes)
-                E[:, j] += boost_cfg.learning_rate * tree_values(tree, matrix.rows)[matrix.inverse]
-        log.append(it, loss / n_w, time.perf_counter() - t0)
+            booster.round(ge, he, log.notes)
+            E = booster.outputs()
+        log.append(it, loss / n_w)
     return model, log

@@ -1,4 +1,3 @@
-from dataclasses import fields
 from datetime import date
 
 import numpy as np
@@ -6,13 +5,13 @@ import pytest
 
 from treecast.data import PanelDataset, TimeSeries, extend_timestamps, ingest_csv
 from treecast.datasets import bundled_path
-from treecast.errors import DataError, NumericError
+from treecast.errors import DataError
 from treecast.hypertree import BoostConfig, FeatureRecipe
 from treecast.hypertree import train as train_hypertree
 from treecast.targets import (TargetSpec, _ets_adjoint, _ets_end_states, _ets_forward, _stl_loss,
                               ar_forecast)
 
-from reference_ets import EtsState, reference_filter, series_inits
+from reference_ets import EtsState
 from reference_forecast import ar_forecast_recursive
 
 
@@ -44,44 +43,6 @@ def drop_last(ds: PanelDataset, h: int) -> PanelDataset:
         series.append(TimeSeries(s.series_id, s.timestamps[:-h]))
         keep.append(rows[:-h])
     return ds.take(series, np.concatenate(keep))
-
-
-class ReferenceView(PanelDataset):
-    """A panel as the reference loops read it: they take a ``mask`` that
-    flags the observed rows, and every row of a panel is observed."""
-
-    @property
-    def mask(self):
-        return np.ones(self.n_rows, dtype=bool)
-
-
-def reference_view(ds: PanelDataset) -> ReferenceView:
-    return ReferenceView(**{f.name: getattr(ds, f.name) for f in fields(ds)})
-
-
-def guard_step(exc: NumericError) -> int:
-    """The step a positivity-guard error names."""
-    return int(str(exc).split("at step ")[1].split()[0])
-
-
-def smoothing_end_states(spec, ds, values):
-    """Every series' end ``EtsState`` from the single-series reference loops,
-    each series filtered alone on its own rows under the (N, P) linked
-    ``values``.  A failure is the one the panel kernels report: a start
-    state's at the lowest series, else the guard's at the earliest step,
-    then the lowest series."""
-    inits = series_inits(reference_view(ds), spec.m, spec.target.seasonal)
-    ends, faults = [], []
-    for i, (s, init) in enumerate(zip(ds.series, inits)):
-        rows = ds.rows_of(i)
-        try:
-            ends.append(reference_filter(ds.y[rows], values[rows], spec, init,
-                                         series_id=s.series_id)[1])
-        except NumericError as exc:
-            faults.append((guard_step(exc), i, exc))
-    if faults:
-        raise min(faults, key=lambda f: f[:2])[2]
-    return ends
 
 
 def one_series_grid(y, mask, init):

@@ -115,8 +115,14 @@ def numeric_candidates(v, g, h, c, lam, min_leaf):
     cut = np.nonzero(sv[:-1] != sv[1:])[0]
     gains = _prefix_gains(np.cumsum(g[order])[cut], np.cumsum(h[order])[cut],
                           np.cumsum(c[order])[cut], g.sum(), h.sum(), c.sum(), lam, min_leaf)
-    return [(float(gains[i]), float(0.5 * (sv[cut[i]] + sv[cut[i] + 1])))
-            for i in range(len(cut))]
+    return [(float(gains[i]), threshold(sv[cut[i]], sv[cut[i] + 1])) for i in range(len(cut))]
+
+
+def threshold(lo, hi):
+    """The midpoint of adjacent distinct values lo < hi, or hi where the
+    midpoint would not part them (it rounds to lo, or the sum overflows)."""
+    mid = 0.5 * (lo + hi)
+    return float(mid if lo < mid <= hi else hi)
 
 
 def categorical_candidates(v, g, h, c, lam, min_leaf):

@@ -56,13 +56,12 @@ def ets_init(y: np.ndarray, m: int, seasonal: bool) -> EtsState:
 
 
 def series_inits(ds, m: int, seasonal: bool) -> list:
-    """One ``EtsState`` per series of a padded panel, from its unmasked
-    values; the first series that has none raises, named."""
+    """One ``EtsState`` per series of a panel, from its values; the first
+    series whose start state cannot be built raises, named."""
     inits = []
     for i, s in enumerate(ds.series):
-        rows = ds.rows_of(i)
         try:
-            inits.append(ets_init(ds.y[rows][ds.mask[rows]], m, seasonal))
+            inits.append(ets_init(ds.y[ds.rows_of(i)], m, seasonal))
         except NumericError as exc:
             raise NumericError(f"series {s.series_id!r}: {exc}") from None
     return inits

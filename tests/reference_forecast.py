@@ -2,25 +2,26 @@
 
 ``forecast`` is the old per-series driver: it calls each kind's one-series
 ``forecast(values, ds, i, t_future, state)`` (``SERIES_FORECASTS``) once per
-series, from that series' (h, P) horizon parameters.  ``forecast_baseline``
-is the same loop for the AR baseline with its per-series intercept.  Tests
-compare the panel-wide forecasts of ``treecast`` against them, bit for bit.
+series, from that series' (h, P) horizon parameters; a smoothing series'
+end state comes from that series filtered alone by the ``reference_ets``
+loops (``smoothing_end_states``).  ``forecast_baseline`` is the same loop
+for the AR baseline with its per-series intercept.  Tests compare the
+panel-wide forecasts of ``treecast`` against them, bit for bit.
 """
 
 import numpy as np
 
 from treecast.data import future_panel
-from treecast.errors import DataError
-from treecast.targets import PHI, TargetSpec, _ets_forward, stl_components
+from treecast.errors import DataError, NumericError
+from treecast.targets import PHI, TargetSpec, stl_components
 
-from reference_ets import EtsState
+from reference_ets import EtsState, reference_filter, series_inits
 
 
 def ar_history(ds, i: int, p: int) -> np.ndarray:
     """The observed values of series i, at least the p that seed an AR(p)
     forecast; a shorter series is a data error naming it."""
-    rows = ds.rows_of(i)
-    history = ds.y[rows][ds.mask[rows]]
+    history = ds.y[ds.rows_of(i)]
     if len(history) < p:
         raise DataError(f"series {ds.series[i].series_id!r}: an AR({p}) forecast needs "
                         f"{p} observed values, got {len(history)}")
@@ -40,24 +41,6 @@ def ar_forecast_recursive(theta_future: np.ndarray, history, h: int,
         out[k] = intercept + sum(theta_future[k, j] * buf[-1 - j] for j in range(p))
         buf.append(out[k])
     return out
-
-
-def ets_end_states(target, mask, level, trend, ring):
-    """Each series' end state; its ring oldest-first relative to the
-    series' last unmasked step."""
-    T, S = mask.shape
-    m = target.m
-    ends = []
-    for i in range(S):
-        on = np.nonzero(mask[:, i])[0]
-        t_last = int(on[-1]) + 1 if len(on) else 0
-        if target.seasonal:
-            # slot q ends in ring row T + (q - T) % m
-            out = ring[T + (t_last + np.arange(m) - T) % m, i].copy()
-        else:
-            out = np.ones(1)
-        ends.append(EtsState(float(level[T, i]), float(trend[T, i]), out))
-    return ends
 
 
 def ets_forecast(state: EtsState, phi_future, h: int, spec: TargetSpec) -> np.ndarray:
@@ -83,12 +66,33 @@ def ets_forecast(state: EtsState, phi_future, h: int, spec: TargetSpec) -> np.nd
     return out
 
 
+def guard_step(exc: NumericError) -> int:
+    """The step a positivity-guard error names."""
+    return int(str(exc).split("at step ")[1].split()[0])
+
+
+def smoothing_end_states(spec, ds, values):
+    """Every series' end ``EtsState`` from the single-series reference loops,
+    each series filtered alone on its own rows under the (N, P) linked
+    ``values``.  A failure is the one the panel kernels report: a start
+    state's at the lowest series, else the guard's at the earliest step,
+    then the lowest series."""
+    inits = series_inits(ds, spec.m, spec.target.seasonal)
+    ends, faults = [], []
+    for i, (s, init) in enumerate(zip(ds.series, inits)):
+        rows = ds.rows_of(i)
+        try:
+            ends.append(reference_filter(ds.y[rows], values[rows], spec, init,
+                                         series_id=s.series_id)[1])
+        except NumericError as exc:
+            faults.append((guard_step(exc), i, exc))
+    if faults:
+        raise min(faults, key=lambda f: f[:2])[2]
+    return ends
+
+
 def ets_forecast_state(target, model, ds):
-    # one forward pass over the training rows reaches every series' end state
-    values = model.parameters(ds)
-    y, mask, start, ids = target.bind(ds)[1]
-    level, trend, ring, _, _ = _ets_forward(target, y, target.grid(ds, values), mask, start, ids)
-    return ets_end_states(target, mask, level, trend, ring)
+    return smoothing_end_states(model.spec, ds, model.parameters(ds))
 
 
 def _ar(target, values, ds, i, t_future, state):

@@ -2,7 +2,7 @@
 
 ``reference_loss_grad`` is the single-series loss the STL target evaluated
 before it covered the whole panel; ``reference_panel_loss`` runs it series
-by series and masks and floors the result as ``Objective.evaluate`` did.
+by series and floors the result as ``Objective.evaluate`` did.
 Tests compare the panel-wide loss of ``treecast.targets`` against them.
 """
 
@@ -63,7 +63,7 @@ def reference_loss_grad(raw, t, y, spec: TargetSpec, mask=None):
 
 
 def reference_panel_loss(raw, ds, spec: TargetSpec):
-    """The per-series loop over a panel, g and h masked and h floored."""
+    """The per-series loop over a panel, h floored."""
     g = np.zeros_like(raw)
     h = np.zeros_like(raw)
     fitted = np.zeros(ds.n_rows)
@@ -71,7 +71,6 @@ def reference_panel_loss(raw, ds, spec: TargetSpec):
     for i in range(ds.n_series):
         rows = ds.rows_of(i)
         li, g[rows], h[rows], fitted[rows] = reference_loss_grad(
-            raw[rows], ds.time_index[rows], ds.y[rows], spec, ds.mask[rows])
+            raw[rows], ds.time_index[rows], ds.y[rows], spec)
         loss += li
-    w = ds.mask[:, None]
-    return loss, np.where(w, g, 0.0), np.where(w, np.maximum(h, HESS_FLOOR), 0.0), fitted
+    return loss, g, np.maximum(h, HESS_FLOOR), fitted

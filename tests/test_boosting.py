@@ -95,6 +95,20 @@ class TestGrowTree:
         assert tree.threshold == 0.5
         assert tree.left.weight == 1.0 and tree.right.weight == -1.0
 
+    @pytest.mark.parametrize("lo, hi", [(1.0, np.nextafter(1.0, np.inf)), (1e308, 1.7e308)])
+    @pytest.mark.parametrize("linear_leaves", [False, True])
+    def test_split_parts_values_their_midpoint_cannot(self, lo, hi, linear_leaves):
+        """The midpoint of adjacent floats rounds to the lower one, and that
+        of two huge values overflows; either split would send every row one
+        way.  The threshold is then the upper value."""
+        X = np.array([[lo], [hi]] * 3)
+        g = np.array([-1.0, 1.0] * 3)
+        assert not lo < 0.5 * (lo + hi) <= hi
+        tree = grow_tree(X, ("num",), g, np.ones(6), np.arange(6),
+                         params(min_leaf=1, linear_leaves=linear_leaves))
+        assert isinstance(tree, Split) and tree.threshold == hi
+        assert tree.left.weight > 0 > tree.right.weight
+
     def test_depth_zero_global_newton_step(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(20, 2))

@@ -17,7 +17,6 @@ from treecast.errors import ConfigError
 from treecast.hypertree import TrainLog
 
 import reference_forecast
-from conftest import reference_view
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
 
@@ -347,6 +346,98 @@ class TestBundleErrors:
                                    "--out", str(tmp_path / "fc.csv")])
         assert res.exit_code == 3, res.output
         assert "manifest.json" in res.output and "missing field 'spec'" in res.output
+
+
+def _edit_json(path, edit):
+    d = json.loads(path.read_text())
+    edit(d)
+    path.write_text(json.dumps(d))
+
+
+def _drop_last_ensemble_file(bundle):
+    _edit_json(bundle / "manifest.json", lambda m: m["ensemble_files"].pop())
+    return "manifest.json", "ensemble_files lists 2 ensembles"
+
+
+def _cut_base_raw(bundle):
+    _edit_json(bundle / "manifest.json", lambda m: m.update(base_raw=m["base_raw"][:1]))
+    return "manifest.json", "base_raw"
+
+
+def _split_on_feature_99(bundle):
+    def edit(ens):
+        stack = list(ens["trees"])
+        while stack[-1]["type"] != "split":
+            stack.pop()
+        stack[-1]["feature"] = 99
+    _edit_json(bundle / "ensemble_00_ar_1.json", edit)
+    return "ensemble_00_ar_1.json", "feature 99"
+
+
+def _cut_decoder_outputs(bundle):
+    def edit(m):
+        m["mlp"]["W2"] = [row[:2] for row in m["mlp"]["W2"]]
+        m["mlp"]["b2"] = m["mlp"]["b2"][:2]
+    _edit_json(bundle / "manifest.json", edit)
+    return "manifest.json", "mlp.W2"
+
+
+def _cut_projection(bundle):
+    _edit_json(bundle / "manifest.json", lambda m: m.update(projection=m["projection"][:2]))
+    return "manifest.json", "projection"
+
+
+def _cut_linear_coefficients(bundle):
+    """Drop one coefficient of the first linear leaf with terms."""
+    for path in sorted(bundle.glob("ensemble_*.json")):
+        ens = json.loads(path.read_text())
+        stack = list(ens["trees"])
+        while stack:
+            node = stack.pop()
+            if node["type"] == "split":
+                stack += [node["left"], node["right"]]
+            elif node.get("lin_coef"):
+                node["lin_coef"].pop()
+                path.write_text(json.dumps(ens))
+                return path.name, "coefficients"
+    raise AssertionError("no linear leaf with terms")
+
+
+@pytest.fixture(scope="module")
+def ar3_bundles(tmp_path_factory):
+    """{variant: bundle} of the shipped airline AR configs at p = 3, 3 rounds;
+    ``linear`` is the hypertree one with linear leaves."""
+    tmp = tmp_path_factory.mktemp("ar3")
+    variants = {"hypertree": ("air_passengers_ar.yaml",),
+                "linear": ("air_passengers_ar.yaml", "--set", "boosting.linear_leaves=true",
+                           "--set", "boosting.max_depth=2"),
+                "treenet": ("air_passengers_treenet.yaml",)}
+    for variant, (name, *sets) in variants.items():
+        config = str(CONFIGS[0].parent / name)
+        res = CliRunner().invoke(main, ["train", config, "--set", "model.p=3",
+                                        "--set", "boosting.rounds=3", *sets,
+                                        "--out", str(tmp / variant)])
+        assert res.exit_code == 0, res.output
+    return {variant: tmp / variant for variant in variants}
+
+
+class TestBundleConsistency:
+    """A bundle whose parts disagree exits 3 naming the file and field; it
+    used to end in a traceback or to forecast from the parts that fit."""
+
+    @pytest.mark.parametrize("variant, corrupt", [
+        ("hypertree", _drop_last_ensemble_file), ("hypertree", _cut_base_raw),
+        ("hypertree", _split_on_feature_99), ("linear", _cut_linear_coefficients),
+        ("treenet", _cut_decoder_outputs), ("treenet", _cut_projection)])
+    def test_exit_3(self, runner, tmp_path, ar3_bundles, variant, corrupt):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(ar3_bundles[variant], bundle)
+        fname, field = corrupt(bundle)
+        res = runner.invoke(main, ["forecast", "--bundle", str(bundle),
+                                   "--out", str(tmp_path / "fc.csv")])
+        assert res.exit_code == 3, res.output
+        assert res.output.startswith("data error: ")
+        assert fname in res.output and field in res.output, res.output
 
 
 class TestEvaluate:
@@ -691,7 +782,7 @@ class TestBenchScaling:
             seen.append(boost_cfg)
             log = TrainLog()
             for r in range(1, boost_cfg.rounds + 1):
-                log.append(r, 0.0, 0.01 * r)
+                log.rows.append((r, 0.0, 0.01 * r))
             return None, log
 
         monkeypatch.setattr(hypertree, "train", fake_train)
@@ -1032,7 +1123,7 @@ class TestLagWarning:
 
         model, manifest, code_maps = bundle_io.load_bundle(bundle)
         ds = prepare_dataset(config_from_dict(manifest["config"]), code_maps=code_maps)
-        want = reference_forecast.forecast(model, reference_view(ds), 12)
+        want = reference_forecast.forecast(model, ds, 12)
         rows = [line.split(",") for line in fc.read_text().splitlines()[1:]]
         assert [(sid, ts) for sid, ts, _ in rows] == [
             (sid, ts.isoformat()) for sid, (_, stamps) in want.items() for ts in stamps]

@@ -277,8 +277,8 @@ def test_training_update_matches_every_row_distinct(family, case, monkeypatch):
         return tree_values(tree, X)
 
     with monkeypatch.context() as m:
-        m.setattr(hypertree, "tree_values", spy)
-        m.setattr(treenet, "tree_values", spy)
+        for mod in bound_modules("tree_values"):
+            m.setattr(mod, "tree_values", spy)
         model, ds, recipe = fit(family, case)
     X = recipe.build(ds).X
     n_distinct = len(distinct_rows(X)[0])

@@ -15,9 +15,9 @@ from treecast.errors import NumericError
 from treecast import targets
 from treecast.targets import Objective, TargetSpec
 
-from conftest import (ets_filter_one, guard_step, make_panel, reference_view,
-                      smoothing_end_states)
+from conftest import ets_filter_one, make_panel
 from reference_ets import EtsState, ets_init, reference_derivatives, reference_filter, series_inits
+from reference_forecast import guard_step, smoothing_end_states
 
 RTOL = 1e-12  # of the largest entry of each compared array
 
@@ -79,7 +79,7 @@ def start_states(spec, ds):
     panel is checked to fail with the same text (the lowest failing series)."""
     target = spec.target
     try:
-        inits = series_inits(reference_view(ds), spec.m, target.seasonal)
+        inits = series_inits(ds, spec.m, target.seasonal)
     except NumericError as exc:
         with pytest.raises(NumericError) as err:
             Objective(ds, spec)

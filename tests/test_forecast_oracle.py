@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treecast.baselines import BaselineModel, forecast_baseline
-from treecast.data import future_panel
 from treecast.errors import DataError, NumericError
 from treecast.hypertree import forecast
-from treecast.targets import KINDS, PHI, TargetSpec, ar_forecast
+from treecast.targets import KINDS, TargetSpec, ar_forecast
 
 import reference_forecast as ref
-from conftest import make_panel, reference_view, smoothing_end_states
+from conftest import make_panel
 from reference_ets import EtsState
 
 # panels with series shorter than p + 1 are drawn on purpose
@@ -87,30 +86,10 @@ def assert_same(ds, h, got, want):
         assert list(s.timestamps) == stamps
 
 
-def reference(model, ds, h, average):
-    """The per-series reference forecasts.  A smoothing series' end state
-    comes from that series filtered alone (``smoothing_end_states``), and
-    its forecast from ``ref.ets_forecast``."""
-    spec = model.spec
-    if spec.kind not in ("ets", "ets_linear"):
-        return ref.forecast(model, reference_view(ds), h, average=average)
-    fut = future_panel(ds, h)
-    values_f = model.parameters(fut)
-    ends = smoothing_end_states(spec, ds, model.parameters(ds))
-    out = {}
-    for i, s in enumerate(ds.series):
-        vals_f = values_f[fut.rows_of(i)]
-        if average:
-            vals_f = ref.average_parameters(vals_f)
-        phi = vals_f[:, PHI] if spec.target.seasonal else np.ones(h)
-        out[s.series_id] = (ref.ets_forecast(ends[i], phi, h, spec), list(fut.series[i].timestamps))
-    return out
-
-
 def check_kind(spec, ds, h, seed, average):
     model = DrawnParameters(spec, seed)
     got = outcome(lambda: forecast(model, ds, h, average=average))
-    assert_same(ds, h, got, outcome(lambda: reference(model, ds, h, average)))
+    assert_same(ds, h, got, outcome(lambda: ref.forecast(model, ds, h, average=average)))
 
 
 def check_ar_baseline(spec, ds, h, seed, intercept):
@@ -120,7 +99,7 @@ def check_ar_baseline(spec, ds, h, seed, intercept):
                   for s in ds.series}
     model = BaselineModel(spec, intercept, per_series, None)
     got = outcome(lambda: forecast_baseline(model, ds, h))
-    assert_same(ds, h, got, outcome(lambda: ref.forecast_baseline(model, reference_view(ds), h)))
+    assert_same(ds, h, got, outcome(lambda: ref.forecast_baseline(model, ds, h)))
 
 
 @pytest.mark.parametrize("kind", list(KINDS))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from treecast.targets import Objective, TargetSpec, stl_components
 
-from conftest import make_panel, reference_view, stl_loss_grad
+from conftest import make_panel, stl_loss_grad
 from losses import finite_diff_check
 from reference_stl import reference_loss_grad, reference_panel_loss
 
@@ -102,7 +102,7 @@ def test_panel_loss_matches_per_series_reference(case):
     boundaries, gives the per-series loop's g, h and fitted bit for bit."""
     spec, ds, raw = case
     loss, g, h, fitted = Objective(ds, spec).evaluate(raw)
-    loss_ref, g_ref, h_ref, fitted_ref = reference_panel_loss(raw, reference_view(ds), spec)
+    loss_ref, g_ref, h_ref, fitted_ref = reference_panel_loss(raw, ds, spec)
     assert np.array_equal(g, g_ref)
     assert np.array_equal(h, h_ref)
     assert np.array_equal(fitted, fitted_ref)
